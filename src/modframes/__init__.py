@@ -45,7 +45,6 @@ from .frames import (
     norm_bound_check,
     optimal_scalar_bounds,
     range_transfer_check,
-    sample_vectors,
     synthesis_operator,
     transform_coisometry,
     transform_precompose,
@@ -60,6 +59,7 @@ from .module import (
     module_action,
     norm,
     random_vector,
+    sample_vectors,
 )
 from .operators import (
     DouglasReport,

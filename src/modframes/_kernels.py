@@ -1,34 +1,23 @@
-"""Hot numeric kernels for sampled certification.
+"""Reference gap kernels, kept as the test oracle for ``frames.certify``.
 
 Both kernels evaluate the algebra-valued gap
 
     gap(X) = C1 X P X* C1* - C2 X Q X* C2*
 
-for flattened module vectors X (d x nd blocks): ``gap_eigs`` batches the
-smallest-eigenvalue evaluation over a sample array for both frame
-inequalities at once, and ``minimize_gap`` runs projected gradient descent
-with backtracking on the smallest eigenvalue over the unit sphere, hunting
-for falsifying directions.
-
-The functions are compiled with numba by default; set MODFRAMES_NO_NUMBA=1
-to select the pure-numpy fallback (same code, interpreted).  The benchmark
-in benchmarks/bench_kernels.py compares the two paths.
+for flattened module vectors X (d x nd blocks): ``gap_eigs`` evaluates the
+smallest eigenvalues of both frame-inequality gaps over a sample array, and
+``minimize_gap`` runs projected gradient descent with backtracking on the
+smallest eigenvalue over the unit sphere, hunting for falsifying directions.
+The library does not call them: ``certify`` decides every case exactly or
+structurally, and the tests compare it against these searches.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV_FLAG = "MODFRAMES_NO_NUMBA"
 
-
-def _numba_disabled() -> bool:
-    return os.environ.get(_ENV_FLAG, "").strip().lower() in ("1", "true", "yes", "on")
-
-
-def _gap_eigs_impl(samples, s_hat, m_hat, a_low, b_up):
+def gap_eigs(samples, s_hat, m_hat, a_low, b_up):
     """Smallest eigenvalues of the lower/upper gap matrices per sample.
 
     samples: (N, d, n*d) complex; s_hat, m_hat: (n*d, n*d) Hermitian;
@@ -54,7 +43,7 @@ def _gap_eigs_impl(samples, s_hat, m_hat, a_low, b_up):
     return lower, upper
 
 
-def _minimize_gap_impl(x0, p, q, c1, c2, iters, step0, stop_tol):
+def minimize_gap(x0, p, q, c1, c2, iters, step0, stop_tol):
     """Projected gradient descent for min_X lambda_min(gap(X)), ||X||_F = 1.
 
     The descent direction is the Wirtinger gradient of the smallest
@@ -117,22 +106,6 @@ def _minimize_gap_impl(x0, p, q, c1, c2, iters, step0, stop_tol):
     return best, x_best
 
 
-_USE_NUMBA = False
-if not _numba_disabled():
-    try:
-        from numba import njit
-
-        gap_eigs = njit(cache=True)(_gap_eigs_impl)
-        minimize_gap = njit(cache=True)(_minimize_gap_impl)
-        _USE_NUMBA = True
-    except ImportError:
-        pass
-
-if not _USE_NUMBA:
-    gap_eigs = _gap_eigs_impl
-    minimize_gap = _minimize_gap_impl
-
-
 def backend() -> str:
-    """Active kernel backend, 'numba' or 'numpy'."""
-    return "numba" if _USE_NUMBA else "numpy"
+    """Kernel backend; pure numpy is the only one."""
+    return "numpy"

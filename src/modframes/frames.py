@@ -7,31 +7,39 @@ inequality
 
 with algebra-valued bound elements A, B and target endomorphism K.
 
-When both bounds are scalar multiples of the identity the universal
-quantifier reduces exactly to two PSD inequalities between flattened
-matrices (alpha^2 flat(KK*) <= S_hat and S_hat <= beta^2 I), which is how
-exact mode decides.  For general algebra-valued bounds the left/right
-conjugation blocks that reduction, so certification is sampled: random
-unit vectors, the canonical flattened directions, and a multi-start
-projected-gradient search for falsifying vectors.  A sampled non-falsified
-verdict is labelled mode="sampled" and is never presented as a proof.
+``certify`` is one deterministic decision per side; no sampling or search
+is involved.  With S_hat the flattened frame operator and M_hat = flat(KK*),
+fix a unit v in C^d: then v* gap(X) v = u* S_hat u - w* M_hat w with
+u = X* v and w = X* A* v, and X* maps v and A* v independently unless
+A* v is parallel to v.  Hence:
+
+* A bound element c*I (any complex c) makes its side the exact PSD test
+  S_hat - |c|^2 M_hat >= 0 (lower) or |c|^2 I - S_hat >= 0 (upper).
+* A bound element that is not a multiple of I makes its side fail for
+  every family, unless the side's Gram matrix (M_hat lower, S_hat upper)
+  is zero, in which case the side holds.  The failure is exhibited by the
+  best X = v p* + v_perp q* over a fixed set of candidate v; that margin is
+  an attained value, so only an upper bound on the infimum, and a side
+  whose margin stays within tolerance is reported as inconclusive.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, algebra
+from . import algebra
 from .errors import (
     NotCoisometryError,
     NotCommutingError,
     NoInclusionError,
     ShapeMismatchError,
 )
-from .module import ModuleSpace, ModuleVector, module_action, norm, random_vector
+from .module import ModuleSpace, ModuleVector, module_action, norm
+from .module import sample_vectors  # noqa: F401  (public name of this module too)
 from .operators import (
     ModuleOperator,
     apply,
@@ -142,26 +150,31 @@ def is_normalized(bounds: FrameBounds, tol: float = 1e-12) -> bool:
 
 @dataclass
 class CertConfig:
-    """Knobs for sampled certification; all CLI-exposed."""
+    """Certification tolerance, plus the sample count and seed of the sampled
+    norm-sandwich checks that ``verify`` and ``perturb`` run beside it."""
 
     samples: int = 1000
     tol: float = 1e-9
     seed: int = 0
-    restarts: int = 20
-    iters: int = 200
-    step: float = 1e-2
-    mode: str = "auto"  # auto | exact | sampled
 
 
 @dataclass
 class FrameCertificate:
+    """Outcome of ``certify``.
+
+    ``gap_kinds`` labels (lower, upper) margins: ``exact`` is the smallest
+    eigenvalue of the side's PSD test (or the exact infimum 0 of a side whose
+    Gram matrix vanishes); ``upper_bound`` is a value attained at a unit
+    Frobenius-norm X, so the true infimum of the gap lies at or below it.
+    """
+
     verdict: str  # certified | falsified | inconclusive
     bounds: FrameBounds
     witness: ModuleVector | None
     min_gap_lower: float
     min_gap_upper: float
-    samples_used: int
-    mode: str  # exact | sampled
+    mode: str  # exact (both bounds c*I) | structural
+    gap_kinds: tuple[str, str]
 
 
 def analysis_operator(F: OperatorFamily) -> ModuleOperator:
@@ -201,29 +214,51 @@ def _check_certify_shapes(F: OperatorFamily, K: ModuleOperator, bounds: FrameBou
             raise ValueError(f"{name} bound is not strictly nonzero (not safely invertible)")
 
 
-def _canonical_samples(dim: int, rank: int) -> np.ndarray:
-    """One rank-one probe per flattened direction: X_k = e_{k mod d} e_k^H."""
-    nd = rank * dim
-    out = np.zeros((nd, dim, nd), dtype=np.complex128)
-    for k in range(nd):
-        out[k, k % dim, k] = 1.0
-    return out
+def _scalar_modulus(el: np.ndarray) -> float | None:
+    """|c| when the element is exactly c*I for a complex c, else None."""
+    c = el[0, 0]
+    return float(abs(c)) if np.array_equal(el, c * np.eye(el.shape[0])) else None
 
 
-def _sample_array(F: OperatorFamily, cfg: CertConfig, rng: np.random.Generator) -> np.ndarray:
-    d, n = F.dim, F.source_rank
-    draws = [random_vector(d, n, rng).flat for _ in range(cfg.samples)]
-    rand = np.stack(draws) if draws else np.zeros((0, d, n * d), dtype=np.complex128)
-    return np.concatenate([rand, _canonical_samples(d, n)], axis=0)
+def _psd_side(mat: np.ndarray, d: int, n: int) -> tuple[float, np.ndarray, str]:
+    """Smallest eigenvalue of the side's PSD test and the witness X whose
+    first row is the conjugate eigenvector, so that X mat X* has it in (0, 0)."""
+    w, v = np.linalg.eigh(0.5 * (mat + np.conj(mat.T)))
+    flat = np.zeros((d, n * d), dtype=np.complex128)
+    flat[0, :] = np.conj(v[:, 0])
+    return float(w[0]), flat, "exact"
 
 
-def sample_vectors(dim: int, rank: int, count: int, seed: int) -> list[ModuleVector]:
-    """Shared sampling scheme: ``count`` random unit vectors followed by the
-    canonical flattened directions, reproducible from the seed."""
-    rng = np.random.default_rng(seed)
-    vecs = [random_vector(dim, rank, rng) for _ in range(count)]
-    vecs.extend(ModuleVector(dim, rank, x) for x in _canonical_samples(dim, rank))
-    return vecs
+def _candidate_vectors(d: int) -> np.ndarray:
+    """Rows e_j and (e_i + e_j)/sqrt(2), i < j."""
+    eye = np.eye(d, dtype=np.complex128)
+    pairs = [(eye[i] + eye[j]) / math.sqrt(2) for i, j in itertools.combinations(range(d), 2)]
+    return np.vstack([eye, *pairs])
+
+
+def _structural_side(c1, p, c2, q) -> tuple[float, np.ndarray | None, str]:
+    """Margin of the side gap(X) = C1 X P X* C1* - C2 X Q X* C2* when one of
+    C1, C2 is a bound element that is not a multiple of I.
+
+    For a unit v, v* gap(X) v = |X* C1* v|_P^2 - |X* C2* v|_Q^2.  With
+    [C1* v, C2* v] = basis R (reduced QR), X = basis [p, q]* has unit
+    Frobenius norm when z = [p; q] does, and v* gap(X) v = z* H z for
+    H = conj(r1) r1^T (x) P - conj(r2) r2^T (x) Q, r_j the columns of R.
+    The smallest eigenvalue of H over the candidate v is the margin.
+    """
+    if not np.any(q):
+        return 0.0, None, "exact"
+    nd = p.shape[0]
+    vs = _candidate_vectors(c1.shape[0])
+    basis, r = np.linalg.qr(np.stack([vs @ np.conj(c1), vs @ np.conj(c2)], axis=2))
+    r1, r2 = r[:, :, 0], r[:, :, 1]
+    h = np.einsum("ki,kj,ab->kiajb", np.conj(r1), r1, p) - np.einsum(
+        "ki,kj,ab->kiajb", np.conj(r2), r2, q
+    )
+    w, z = np.linalg.eigh(h.reshape(len(vs), 2 * nd, 2 * nd))
+    best = int(np.argmin(w[:, 0]))
+    flat = basis[best] @ np.conj(z[best, :, 0].reshape(2, nd))
+    return float(w[best, 0]), flat, "upper_bound"
 
 
 def certify(
@@ -232,95 +267,51 @@ def certify(
     bounds: FrameBounds,
     cfg: CertConfig | None = None,
 ) -> FrameCertificate:
-    """Certify or falsify the two-sided frame inequality for (F, K, bounds).
+    """Decide the two-sided frame inequality for (F, K, bounds).
 
-    Exact mode (scalar bounds only) decides via flattened PSD inequalities;
-    margins are the smallest eigenvalues of the two gap matrices.  Sampled
-    mode evaluates the algebra-valued gaps on random unit vectors, canonical
-    directions, and gradient-descent falsification candidates; it returns a
-    witness whenever some gap eigenvalue drops below -tol.
+    Each side is the exact PSD test when its bound element is c*I, and the
+    structural rule otherwise (see the module docstring).  The verdict is
+    ``falsified`` when a margin is below -tol (the witness comes from the
+    lower of the two sides), ``inconclusive`` when a structural side with a
+    nonzero Gram matrix stays within tolerance, and ``certified`` otherwise.
     """
     cfg = cfg or CertConfig()
     _check_certify_shapes(F, K, bounds)
-    if cfg.mode not in ("auto", "exact", "sampled"):
-        raise ValueError(f"unknown certification mode {cfg.mode!r}")
-    mode = cfg.mode
-    if mode == "auto":
-        mode = "exact" if bounds.mode == "scalar" else "sampled"
-    if mode == "exact" and bounds.mode != "scalar":
-        raise ValueError("exact certification requires scalar bounds")
-
     s_hat = _frame_gram(F)
     m_hat = _target_gram(K)
     d, n = F.dim, F.source_rank
-    nd = n * d
-
-    if mode == "exact":
-        alpha, beta = bounds.alpha, bounds.beta
-        lower_mat = s_hat - alpha**2 * m_hat
-        upper_mat = beta**2 * np.eye(nd) - s_hat
-        wl, vl = np.linalg.eigh(0.5 * (lower_mat + np.conj(lower_mat.T)))
-        wu, vu = np.linalg.eigh(0.5 * (upper_mat + np.conj(upper_mat.T)))
-        gap_lower = float(wl[0])
-        gap_upper = float(wu[0])
-        witness = None
-        verdict = "certified"
-        if min(gap_lower, gap_upper) < -cfg.tol:
-            verdict = "falsified"
-            vec = vl[:, 0] if gap_lower <= gap_upper else vu[:, 0]
-            flat = np.zeros((d, nd), dtype=np.complex128)
-            flat[0, :] = np.conj(vec)
-            witness = ModuleVector(d, n, flat)
-        return FrameCertificate(
-            verdict=verdict,
-            bounds=bounds,
-            witness=witness,
-            min_gap_lower=gap_lower,
-            min_gap_upper=gap_upper,
-            samples_used=0,
-            mode="exact",
-        )
-
-    rng = np.random.default_rng(cfg.seed)
-    samples = _sample_array(F, cfg, rng)
-    a_low = np.ascontiguousarray(bounds.lower)
-    b_up = np.ascontiguousarray(bounds.upper)
-    lower_eigs, upper_eigs = _kernels.gap_eigs(samples, s_hat, m_hat, a_low, b_up)
-
-    min_lower = float(np.min(lower_eigs))
-    min_upper = float(np.min(upper_eigs))
-    wit_lower = samples[int(np.argmin(lower_eigs))]
-    wit_upper = samples[int(np.argmin(upper_eigs))]
-
     eye_d = np.eye(d, dtype=np.complex128)
-    eye_nd = np.eye(nd, dtype=np.complex128)
-    for _ in range(cfg.restarts):
-        x0 = random_vector(d, n, rng, unit=False).flat
-        f_lo, x_lo = _kernels.minimize_gap(
-            x0, s_hat, m_hat, eye_d, a_low, cfg.iters, cfg.step, cfg.tol
-        )
-        if f_lo < min_lower:
-            min_lower, wit_lower = float(f_lo), x_lo
-        f_up, x_up = _kernels.minimize_gap(
-            x0, eye_nd, s_hat, b_up, eye_d, cfg.iters, cfg.step, cfg.tol
-        )
-        if f_up < min_upper:
-            min_upper, wit_upper = float(f_up), x_up
+    a_mod = _scalar_modulus(bounds.lower)
+    b_mod = _scalar_modulus(bounds.upper)
 
+    if a_mod is not None:
+        lower = _psd_side(s_hat - a_mod**2 * m_hat, d, n)
+    else:
+        lower = _structural_side(eye_d, s_hat, bounds.lower, m_hat)
+    if b_mod is not None:
+        upper = _psd_side(b_mod**2 * np.eye(n * d) - s_hat, d, n)
+    else:
+        upper = _structural_side(bounds.upper, np.eye(n * d), eye_d, s_hat)
+
+    gap_lower, gap_upper = lower[0], upper[0]
+    kinds = (lower[2], upper[2])
     witness = None
-    verdict = "certified"
-    if min(min_lower, min_upper) < -cfg.tol:
+    if min(gap_lower, gap_upper) < -cfg.tol:
         verdict = "falsified"
-        wit = wit_lower if min_lower <= min_upper else wit_upper
-        witness = ModuleVector(d, n, np.array(wit))
+        flat = lower[1] if gap_lower <= gap_upper else upper[1]
+        witness = ModuleVector(d, n, flat)
+    elif "upper_bound" in kinds:
+        verdict = "inconclusive"
+    else:
+        verdict = "certified"
     return FrameCertificate(
         verdict=verdict,
         bounds=bounds,
         witness=witness,
-        min_gap_lower=min_lower,
-        min_gap_upper=min_upper,
-        samples_used=samples.shape[0],
-        mode="sampled",
+        min_gap_lower=gap_lower,
+        min_gap_upper=gap_upper,
+        mode="exact" if a_mod is not None and b_mod is not None else "structural",
+        gap_kinds=kinds,
     )
 
 
@@ -330,7 +321,7 @@ def gap_matrices(
     """The algebra-valued lower/upper gaps at a single vector.
 
     Used to re-validate falsification witnesses independently of the
-    batched kernels.
+    decision in ``certify``.
     """
     s_hat = _frame_gram(F)
     m_hat = _target_gram(K)

@@ -10,6 +10,7 @@ are byte-stable because floats are emitted with shortest round-trip repr.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,8 @@ def _decode_entry(value, path: str) -> complex:
         or not all(isinstance(v, (int, float)) for v in value)
     ):
         raise SpecFormatError(f"{path}: complex entry must be a [re, im] pair, got {value!r}")
+    if not all(math.isfinite(v) for v in value):
+        raise SpecFormatError(f"{path}: complex entry must be finite, got {value!r}")
     return complex(value[0], value[1])
 
 

@@ -163,3 +163,16 @@ def random_vector(dim: int, rank: int, rng: np.random.Generator, unit: bool = Tr
         if nrm > 0:
             x = ModuleVector(dim, rank, flat / nrm)
     return x
+
+
+def sample_vectors(dim: int, rank: int, count: int, seed: int) -> list[ModuleVector]:
+    """Shared sampling scheme: ``count`` random unit vectors, reproducible from
+    the seed, followed by one rank-one probe per flattened direction,
+    X_k = e_{k mod d} e_k^H."""
+    rng = np.random.default_rng(seed)
+    vecs = [random_vector(dim, rank, rng) for _ in range(count)]
+    for k in range(rank * dim):
+        flat = np.zeros((dim, rank * dim), dtype=np.complex128)
+        flat[k % dim, k] = 1.0
+        vecs.append(ModuleVector(dim, rank, flat))
+    return vecs

@@ -35,9 +35,8 @@ from .frames import (
     certify,
     norm_bound_check,
     optimal_scalar_bounds,
-    sample_vectors,
 )
-from .module import ModuleVector
+from .module import ModuleVector, sample_vectors
 from .operators import ModuleOperator, douglas_check
 
 DENOM_TOL = 1e-12

@@ -80,3 +80,43 @@ def direct_gap_eigs(family: OperatorFamily, K: ModuleOperator, a, b, x) -> tuple
     lo = np.linalg.eigvalsh(0.5 * (lower + np.conj(lower.T)))[0]
     up = np.linalg.eigvalsh(0.5 * (upper + np.conj(upper.T)))[0]
     return float(lo), float(up)
+
+
+def descent_oracle(family: OperatorFamily, K: ModuleOperator, a, b, rng, restarts=3, iters=100):
+    """Lowest (lower, upper) gap eigenvalues reached by projected-gradient
+    descent over unit-Frobenius X from random starts.
+
+    The descents run ``_kernels.minimize_gap`` on Gram matrices summed from
+    the members here, independently of ``certify``.  Each value is attained
+    at some X, so it bounds the true infimum of its side from above.
+    """
+    from modframes import _kernels
+
+    d, nd = family.dim, family.source_rank * family.dim
+    s_hat = sum(m.flat @ np.conj(m.flat.T) for m in family.members)
+    m_hat = np.conj(K.flat.T) @ K.flat
+    eye_d = np.eye(d, dtype=np.complex128)
+    eye_nd = np.eye(nd, dtype=np.complex128)
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    lo = up = np.inf
+    for _ in range(restarts):
+        x0 = rng.standard_normal((d, nd)) + 1j * rng.standard_normal((d, nd))
+        lo = min(lo, _kernels.minimize_gap(x0, s_hat, m_hat, eye_d, a, iters, 1e-2, np.inf)[0])
+        up = min(up, _kernels.minimize_gap(x0, eye_nd, s_hat, b, eye_d, iters, 1e-2, np.inf)[0])
+    return float(lo), float(up)
+
+
+def near_scalar_spec(path, eps: float, seed: int = 3, d: int = 2):
+    """A known-bounds instance whose lower bound alpha*(I + eps E_12) is not a
+    multiple of I; alpha is the generator's relaxed optimum (1 - 1e-6)."""
+    from modframes import FrameBounds, generate_instance, save_spec
+
+    spec = generate_instance("known-bounds", d, 2, 3, seed)
+    skew = np.eye(d, dtype=np.complex128)
+    skew[0, 1] = eps
+    spec.bounds = FrameBounds(
+        lower=spec.bounds.alpha * skew, upper=spec.bounds.upper, mode="algebra"
+    )
+    save_spec(spec, path)
+    return spec

@@ -27,7 +27,6 @@ from modframes import (
     douglas_check,
     flatten,
     frame_operator,
-    gap_matrices,
     inner_product,
     kron_vector,
     module_action,
@@ -46,7 +45,14 @@ from modframes import (
     verify_dual,
 )
 from modframes.cli import run_command
-from conftest import make_rng, random_family, random_unitary
+from conftest import (
+    descent_oracle,
+    direct_gap_eigs,
+    make_rng,
+    near_scalar_spec,
+    random_family,
+    random_unitary,
+)
 
 
 @contextlib.contextmanager
@@ -125,34 +131,53 @@ def test_c03_douglas_equivalences():
             assert not rep.range_included
 
 
+def _c04_bounds(case, d, alpha, beta, rng):
+    """(lower, upper, expected verdict) for one C04 case."""
+    eye = np.eye(d, dtype=np.complex128)
+    up = beta * (1 + 1e-8) * eye
+    skew = eye + 0.05 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    if case == 7:  # K = 0 (alpha is infinite): the lower side holds for any A
+        return skew, up, "certified"
+    lo = alpha * (1 - 1e-8) * eye
+    phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
+    return [
+        (lo, up, "certified"),
+        (lo, 0.8 * up, "falsified"),
+        (1.2 * lo, up, "falsified"),
+        (phase * lo, np.conj(phase) * up, "certified"),
+        (1.2 * phase * lo, up, "falsified"),
+        (0.5 * alpha * skew, up, "falsified"),  # lower not a multiple of I
+        (lo, 1.5 * beta * skew, "falsified"),  # upper not a multiple of I
+    ][case]
+
+
 def test_c04_certification_soundness():
-    with criterion(4, "exact/sampled agreement on 50 instances; witnesses re-validate"):
+    with criterion(4, "decisions agree with a descent oracle on 48 instances; witnesses re-validate"):
         rng = make_rng(104)
-        cfg = CertConfig(samples=2000, restarts=20, mode="sampled", seed=7)
-        for i in range(50):
-            d = int(rng.integers(1, 4))
+        tol = CertConfig().tol
+        for i in range(48):
+            case = i % 8
+            d = int(rng.integers(2 if case >= 5 else 1, 4))
             n = int(rng.integers(1, 5))
             fam = random_family(d, n, int(rng.integers(2, 5)), rng)
-            k = random_operator(d, n, n, rng)
+            k = random_operator(d, n, n, rng) if case < 7 else ModuleOperator.zero(d, n, n)
             alpha, beta = optimal_scalar_bounds(fam, k)
-            if i % 2 == 0:
-                bounds = FrameBounds.scalar(alpha * (1 - 1e-8), beta * (1 + 1e-8), d)
-            elif i % 4 == 1:
-                bounds = FrameBounds.scalar(alpha * (1 - 1e-8), beta * 0.8, d)
-            else:
-                bounds = FrameBounds.scalar(alpha * 1.2, beta * (1 + 1e-8), d)
-            exact = certify(fam, k, bounds, CertConfig(mode="exact"))
-            sampled = certify(fam, k, bounds, cfg)
-            assert exact.verdict == sampled.verdict
-            for cert in (exact, sampled):
-                if cert.verdict == "falsified":
-                    assert cert.witness is not None
-                    g_lo, g_up = gap_matrices(fam, k, bounds, cert.witness)
-                    worst = min(
-                        np.linalg.eigvalsh(0.5 * (g_lo + np.conj(g_lo.T)))[0],
-                        np.linalg.eigvalsh(0.5 * (g_up + np.conj(g_up.T)))[0],
-                    )
-                    assert worst < -1e-9
+            lower, upper, expect = _c04_bounds(case, d, alpha, beta, rng)
+            cert = certify(fam, k, FrameBounds(lower=lower, upper=upper))
+            assert cert.verdict == expect
+            assert cert.mode == ("exact" if case < 5 else "structural")
+            oracle = descent_oracle(fam, k, lower, upper, rng)
+            if min(oracle) < -tol:
+                assert cert.verdict == "falsified"
+            margins = (cert.min_gap_lower, cert.min_gap_upper)
+            for found, margin, kind in zip(oracle, margins, cert.gap_kinds):
+                if kind == "exact":
+                    # rank-one X already reach 0 when d > 1, hence min(margin, 0)
+                    assert found >= min(margin, 0.0) - tol
+            if cert.witness is not None:
+                recheck = min(direct_gap_eigs(fam, k, lower, upper, cert.witness))
+                assert recheck < -tol
+                assert recheck <= min(margins) + 1e-12 * (1.0 + abs(min(margins)))
 
 
 def test_c05_optimal_bounds_dim_one_oracle():
@@ -202,12 +227,8 @@ def test_c06_transform_properties():
             bounds = FrameBounds.scalar(alpha * (1 - 1e-8), beta * (1 + 1e-8), d)
             l = random_operator(d, n, n, rng)
             out = transform_precompose(fam, k, l, bounds, power=1 + i % 2)
-            cert = certify(
-                out.family,
-                out.target,
-                out.bounds,
-                CertConfig(samples=500, restarts=3, mode="sampled"),
-            )
+            cert = certify(out.family, out.target, out.bounds)
+            assert cert.mode == "exact"
             assert cert.min_gap_upper >= -1e-9
             assert cert.verdict == "certified"
 
@@ -285,7 +306,7 @@ def test_c10_classical_reduction():
             fa = 0.9 if rng.random() < 0.5 else 1.1
             fb = 0.9 if rng.random() < 0.5 else 1.1
             bounds = FrameBounds.scalar(alpha * fa, beta * fb, 1)
-            verdict = certify(fam, k, bounds, CertConfig(mode="exact")).verdict
+            verdict = certify(fam, k, bounds).verdict
             # oracle: plain numpy eigenvalue checks on the n x n matrices
             s = sum(m.flat @ np.conj(m.flat.T) for m in fam.members)
             mk = np.conj(k.flat.T) @ k.flat
@@ -318,12 +339,9 @@ def test_c11_cli_contract(tmp_path, capsys):
 
         assert run_command(["verify", str(tight)])[0] == 0
         assert run_command(["verify", str(bessel)])[0] == 1
-        assert (
-            run_command(
-                ["verify", str(known), "--mode", "sampled", "--samples", "150", "--restarts", "3"]
-            )[0]
-            == 2
-        )
+        near = tmp_path / "near-scalar.json"
+        near_scalar_spec(near, eps=1e-8)
+        assert run_command(["verify", str(near)])[0] == 2
         assert run_command(["verify", str(tmp_path / "nope.json")])[0] == 3
         rng = make_rng(0)
         deficient = tmp_path / "singular.json"
@@ -341,10 +359,68 @@ def test_c11_cli_contract(tmp_path, capsys):
         assert run_command(["dual", str(deficient)])[0] == 4
 
         capsys.readouterr()
-        argv = ["verify", str(known), "--mode", "sampled", "--samples", "150", "--restarts", "3"]
+        argv = ["verify", str(near), "--samples", "150"]
         run_command(argv)
         first = capsys.readouterr().out
         run_command(argv)
         second = capsys.readouterr().out
         assert first == second and first
         assert json.loads(first)["timing_s"] is None
+
+
+def test_c12_structural_rule(tmp_path):
+    with criterion(12, "bounds that are not multiples of I follow the structural rule"):
+        rng = make_rng(112)
+        tol = CertConfig().tol
+        for _ in range(10):
+            d = int(rng.integers(2, 4))
+            n = int(rng.integers(1, 4))
+            fam = random_family(d, n, 3, rng)
+            k = random_operator(d, n, n, rng)
+            alpha, beta = optimal_scalar_bounds(fam, k)
+            eye = np.eye(d, dtype=np.complex128)
+            skew = eye.copy()
+            skew[0, 1] = 0.2
+            lo, up = 0.1 * alpha * eye, 10.0 * beta * eye
+
+            # a lower element off the scalars fails where 0.1 alpha I holds, since K != 0
+            bounds = FrameBounds(lower=0.1 * alpha * skew, upper=up)
+            cert = certify(fam, k, bounds)
+            assert cert.verdict == "falsified" and cert.mode == "structural"
+            assert cert.gap_kinds == ("upper_bound", "exact")
+            assert direct_gap_eigs(fam, k, bounds.lower, up, cert.witness)[0] < -tol
+
+            # ... and holds for every A once K = 0, with the exact margin 0
+            zero = ModuleOperator.zero(d, n, n)
+            cert = certify(fam, zero, FrameBounds(lower=5.0 * skew, upper=up))
+            assert cert.verdict == "certified" and cert.mode == "structural"
+            assert cert.min_gap_lower == 0.0 and cert.gap_kinds == ("exact", "exact")
+
+            # an upper element off the scalars fails where 10 beta I holds
+            bounds = FrameBounds(lower=lo, upper=10.0 * beta * skew)
+            cert = certify(fam, k, bounds)
+            assert cert.verdict == "falsified"
+            assert cert.gap_kinds == ("exact", "upper_bound")
+            assert direct_gap_eigs(fam, k, lo, bounds.upper, cert.witness)[1] < -tol
+
+            # a phase e^{i theta} c I decides exactly as |c| I
+            for factor in (1 - 1e-8, 1.01):
+                scalar = FrameBounds.scalar(factor * alpha, beta * (1 + 1e-8), d)
+                theta, phi = rng.uniform(0, 2 * np.pi, size=2)
+                phased = FrameBounds(
+                    lower=np.exp(1j * theta) * scalar.lower, upper=np.exp(1j * phi) * scalar.upper
+                )
+                want, got = certify(fam, k, scalar), certify(fam, k, phased)
+                assert want.verdict == ("certified" if factor < 1 else "falsified")
+                assert got.mode == "exact" and got.verdict == want.verdict
+                assert abs(got.min_gap_lower - want.min_gap_lower) <= 1e-12 * (1 + beta**2)
+
+        # the near-scalar window: a failure too shallow to clear tol exits 2
+        for eps, code in ((1e-8, 2), (1e-6, 1)):
+            path = tmp_path / f"near-{eps}.json"
+            near_scalar_spec(path, eps)
+            got, report = run_command(["verify", str(path)])
+            assert got == code
+            assert report.verdicts["mode"] == "structural"
+            assert report.residuals["min_gap_lower_kind"] == "upper_bound"
+            assert ("falsifying_vector" in report.witnesses) == (code == 1)

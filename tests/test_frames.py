@@ -38,9 +38,7 @@ from modframes import (
     transform_coisometry,
     transform_precompose,
 )
-from conftest import direct_gap_eigs, make_rng, random_family, random_unitary
-
-FAST = CertConfig(samples=200, restarts=5)
+from conftest import descent_oracle, direct_gap_eigs, make_rng, random_family, random_unitary
 
 
 def coordinate_family(n: int) -> OperatorFamily:
@@ -155,11 +153,11 @@ class TestCertify:
             else:
                 bounds = FrameBounds.scalar(alpha * (1 - 1e-8), beta * 0.8, d)
                 expect = "falsified"
-            exact = certify(fam, k, bounds, CertConfig(mode="exact"))
-            sampled = certify(fam, k, bounds, CertConfig(samples=300, restarts=8, mode="sampled"))
-            assert exact.verdict == expect
-            assert sampled.verdict == expect
-            assert sampled.mode == "sampled"
+            exact = certify(fam, k, bounds)
+            assert exact.verdict == expect and exact.mode == "exact"
+            # the sampled descent finds a violation exactly when one exists
+            sampled = descent_oracle(fam, k, bounds.lower, bounds.upper, rng)
+            assert (min(sampled) < -1e-9) == (expect == "falsified")
 
     def test_sampled_kernel_matches_module_arithmetic(self, rng):
         # the gram-matrix shortcut equals the blockwise inner-product sums
@@ -186,23 +184,21 @@ class TestCertify:
         alpha, beta = optimal_scalar_bounds(fam, k)
         lower = np.array([[alpha * (1 - 1e-8) * np.exp(0.7j)]])
         upper = np.array([[beta * (1 + 1e-8) * np.exp(-0.3j)]])
-        cert = certify(fam, k, FrameBounds(lower=lower, upper=upper), FAST)
-        assert cert.verdict == "certified" and cert.mode == "sampled"
-        bad = certify(
-            fam,
-            k,
-            FrameBounds(lower=lower * 1.5, upper=upper),
-            FAST,
-        )
-        assert bad.verdict == "falsified"
+        cert = certify(fam, k, FrameBounds(lower=lower, upper=upper))
+        assert cert.verdict == "certified" and cert.mode == "exact"
+        bad = certify(fam, k, FrameBounds(lower=lower * 1.5, upper=upper))
+        assert bad.verdict == "falsified" and bad.mode == "exact"
         g_lo, _ = gap_matrices(fam, k, FrameBounds(lower=lower * 1.5, upper=upper), bad.witness)
         assert np.linalg.eigvalsh(0.5 * (g_lo + np.conj(g_lo.T)))[0] < -1e-9
 
     def test_exact_requires_scalar(self, rng):
+        # exact mode is reported exactly when both elements are c*I
         fam = random_family(2, 2, 3, rng)
-        bounds = FrameBounds(lower=np.eye(2) * 0.1, upper=np.eye(2) * 10.0)
-        with pytest.raises(ValueError):
-            certify(fam, ModuleOperator.identity(2, 2), bounds, CertConfig(mode="exact"))
+        k = ModuleOperator.identity(2, 2)
+        scalar = FrameBounds(lower=np.eye(2) * 0.1j, upper=np.eye(2) * 10.0)
+        assert certify(fam, k, scalar).mode == "exact"
+        off = FrameBounds(lower=np.diag([0.1, 0.1 + 1e-3]), upper=np.eye(2) * 10.0)
+        assert certify(fam, k, off).mode == "structural"
 
     def test_rejects_degenerate_bounds(self, rng):
         fam = random_family(2, 2, 3, rng)
@@ -217,12 +213,13 @@ class TestCertify:
         fam = random_family(2, 2, 3, rng)
         k = random_operator(2, 2, 2, rng)
         alpha, beta = optimal_scalar_bounds(fam, k)
-        bounds = FrameBounds.scalar(alpha, beta * 1.01, 2)
-        cfg = CertConfig(samples=150, restarts=4, mode="sampled", seed=42)
-        c1 = certify(fam, k, bounds, cfg)
-        c2 = certify(fam, k, bounds, cfg)
+        bounds = FrameBounds(lower=alpha * np.array([[1.0, 0.05], [0.0, 1.0]]), upper=beta * np.eye(2))
+        c1 = certify(fam, k, bounds, CertConfig(seed=42))
+        c2 = certify(fam, k, bounds, CertConfig(seed=7))
+        assert c1.verdict == c2.verdict == "falsified"
         assert c1.min_gap_lower == c2.min_gap_lower
         assert c1.min_gap_upper == c2.min_gap_upper
+        assert np.array_equal(c1.witness.flat, c2.witness.flat)
 
 
 class TestOptimalBounds:
@@ -385,10 +382,10 @@ class TestTransforms:
             bounds = FrameBounds.scalar(alpha * (1 - 1e-8), beta * (1 + 1e-8), 2)
             l = random_operator(2, 2, 2, rng)
             out = transform_precompose(fam, k, l, bounds, power=2)
-            cert = certify(
-                out.family, out.target, out.bounds, CertConfig(samples=500, restarts=5, mode="sampled")
-            )
+            cert = certify(out.family, out.target, out.bounds)
             assert cert.verdict == "certified"
+            sampled = descent_oracle(out.family, out.target, out.bounds.lower, out.bounds.upper, rng)
+            assert min(sampled) >= -1e-9
 
     def test_range_transfer_same_operator(self, rng):
         fam = random_family(2, 2, 3, rng)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from modframes import (
+    FrameBounds,
     ModuleOperator,
     OperatorFamily,
     SpecFormatError,
@@ -18,7 +19,7 @@ from modframes import (
 )
 from modframes.cli import run_command
 from modframes.io import FrameSpecFile, decode_vector, encode_vector
-from conftest import make_rng
+from conftest import make_rng, near_scalar_spec
 
 
 class TestRoundTrip:
@@ -62,6 +63,31 @@ class TestRoundTrip:
         with pytest.raises(SpecFormatError) as err:
             load_spec(path)
         assert "operators[0].blocks[1][0]" in str(err.value)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "keys, field",
+        [
+            (("operators", 0, "blocks", 1, 0, 0, 1), "operators[0].blocks[1][0][0][1]"),
+            (("bounds", "lower", 0, 1), "bounds.lower[0][1]"),
+        ],
+        ids=["operator", "bound"],
+    )
+    def test_non_finite_entry_names_field(self, tmp_path, bad, keys, field):
+        spec = generate_instance("known-bounds", 2, 2, 2, seed=1)
+        spec.bounds = FrameBounds(lower=spec.bounds.lower, upper=spec.bounds.upper, mode="algebra")
+        data = json.loads(spec.to_json())
+        entry = data
+        for key in keys:
+            entry = entry[key]
+        entry[0] = bad  # the real part of one [re, im] pair
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SpecFormatError, match="finite") as err:
+            load_spec(path)
+        assert field in str(err.value)
+        code, report = run_command(["verify", str(path)])
+        assert code == 3 and "SpecFormatError" in report.error
 
     def test_missing_required_field(self, tmp_path):
         path = tmp_path / "empty.json"
@@ -169,14 +195,24 @@ class TestCliContract:
         )
         assert np.linalg.eigvalsh(0.5 * (g_lo + np.conj(g_lo.T)))[0] < -0.5e-9
 
-    def test_exit_two_sampled_inconclusive(self, tmp_path):
-        path = self._gen(tmp_path, "known-bounds", 23)
-        code, report = run_command(
-            ["verify", str(path), "--mode", "sampled", "--samples", "150", "--restarts", "4"]
-        )
+    def test_exit_two_near_scalar_inconclusive(self, tmp_path):
+        path = tmp_path / "near.json"
+        near_scalar_spec(path, eps=1e-8, seed=23)
+        code, report = run_command(["verify", str(path)])
         assert code == 2
-        assert report.verdicts["certificate"] == "certified"
-        assert report.verdicts["mode"] == "sampled"
+        assert report.verdicts["certificate"] == "inconclusive"
+        assert report.verdicts["mode"] == "structural"
+        assert -1e-9 <= report.residuals["min_gap_lower"] < 0
+        assert report.witnesses == {}
+
+    def test_restarts_accepted_and_ignored_mode_rejected(self, tmp_path):
+        path = tmp_path / "near.json"
+        near_scalar_spec(path, eps=1e-6)
+        plain = run_command(["verify", str(path)])
+        legacy = run_command(["verify", str(path), "--restarts", "4"])
+        assert plain[0] == legacy[0] == 1
+        assert plain[1].residuals == legacy[1].residuals
+        assert run_command(["verify", str(path), "--mode", "sampled"])[0] == 3
 
     def test_exit_three_input_error(self, tmp_path):
         code, report = run_command(["verify", str(tmp_path / "missing.json")])
@@ -267,7 +303,8 @@ class TestDeterminism:
             ]
         )
         capsys.readouterr()  # drain the gen report
-        argv = ["verify", str(spec_path), "--mode", "sampled", "--samples", "120", "--restarts", "3"]
+        near_scalar_spec(spec_path, eps=1e-6, seed=31)  # decided structurally
+        argv = ["verify", str(spec_path), "--samples", "120"]
         run_command(argv)
         first = capsys.readouterr().out
         run_command(argv)

@@ -21,7 +21,7 @@ from modframes import (
 )
 from conftest import make_rng, random_family
 
-FAST = CertConfig(samples=100, restarts=3)
+FAST = CertConfig(samples=100)
 
 
 class TestPerturbationConstant:
