@@ -17,7 +17,6 @@ from .duals import (
     verify_dual,
 )
 from .errors import (
-    AllSamplesDegenerateError,
     HypothesisError,
     HypothesisFailedError,
     ModframesError,

@@ -12,9 +12,13 @@ Exit codes:
        nonzero Gram matrix on its side, whose failure margin stays within
        --tol (the near-scalar window); the inequality fails, but no witness
        clears the tolerance
-    3  input error (missing file, parse error, inconsistent shapes)
+    3  input error (missing file, parse error, inconsistent shapes,
+       non-finite or oversized entries)
     4  hypothesis failure (singular frame operator, missing range
-       inclusion, non-co-isometry, degenerate samples, criteria conflict)
+       inclusion, non-co-isometry, infinite perturbation constant,
+       criteria conflict)
+    5  internal error: an unexpected exception, reported as
+       "InternalError: <type>: <message>"
 """
 
 from __future__ import annotations
@@ -25,20 +29,13 @@ import math
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 
 from . import io as spec_io
 from .duals import canonical_dual, minimal_dual, preframe_consistency, verify_dual
 from .errors import HypothesisError, ToleranceConflictError
-from .frames import (
-    CertConfig,
-    FrameBounds,
-    OperatorFamily,
-    certify,
-    norm_bound_check,
-    optimal_scalar_bounds,
-)
-from .module import sample_vectors
+from .frames import CertConfig, FrameBounds, OperatorFamily, certify, optimal_scalar_bounds
 from .operators import ModuleOperator, douglas_check
 from .perturbation import perturbation_check
 from .tensor import nfold_tensor_dual
@@ -48,6 +45,7 @@ EXIT_FALSIFIED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
 EXIT_HYPOTHESIS = 4
+EXIT_INTERNAL = 5
 
 SEED_ENV = "MODFRAMES_SEED"
 
@@ -111,10 +109,6 @@ def _resolve_seed(args, spec: spec_io.FrameSpecFile | None) -> int:
     return 0
 
 
-def _cert_config(args, seed: int) -> CertConfig:
-    return CertConfig(samples=args.samples, tol=args.tol, seed=seed)
-
-
 def _family(spec: spec_io.FrameSpecFile) -> OperatorFamily:
     return OperatorFamily(spec.operators)
 
@@ -138,12 +132,10 @@ def _bounds_or_optimal(
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=1e-9, help="certification tolerance")
-    parser.add_argument(
-        "--samples", type=int, default=1000, help="sample count of the norm-sandwich checks"
-    )
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (overrides file/env)")
-    # Accepted and ignored, since certification runs no search; existing
-    # scripts (the benchmark's algebra-bounds workload among them) still pass it.
+    # Accepted and ignored, since every decision is exact; existing scripts
+    # (the benchmark's algebra-bounds workload among them) still pass them.
+    parser.add_argument("--samples", type=int, default=None, help=argparse.SUPPRESS)
     parser.add_argument("--restarts", type=int, default=None, help=argparse.SUPPRESS)
     parser.add_argument("--out", default=None, help="write the report to this path")
     parser.add_argument("--format", choices=("json", "text"), default="json")
@@ -202,13 +194,9 @@ def _cmd_verify(args, report: RunReport) -> int:
     family = _family(spec)
     target = _target(spec)
     bounds, bounds_source = _bounds_or_optimal(spec, family, target)
-    seed = _resolve_seed(args, spec)
-    cfg = _cert_config(args, seed)
-    cert = certify(family, target, bounds, cfg)
-    samples = sample_vectors(family.dim, family.source_rank, min(args.samples, 200), seed)
-    norms = norm_bound_check(family, target, bounds, samples)
+    cert = certify(family, target, bounds, CertConfig(tol=args.tol))
 
-    report.seed = seed
+    report.seed = _resolve_seed(args, spec)
     report.bounds = spec_io.encode_bounds(bounds)
     report.verdicts = {
         "certificate": cert.verdict,
@@ -220,8 +208,6 @@ def _cmd_verify(args, report: RunReport) -> int:
         "min_gap_upper": _num(cert.min_gap_upper),
         "min_gap_lower_kind": cert.gap_kinds[0],
         "min_gap_upper_kind": cert.gap_kinds[1],
-        "worst_norm_lower_margin": _num(norms.worst_lower_margin),
-        "worst_norm_upper_margin": _num(norms.worst_upper_margin),
     }
     if cert.witness is not None:
         report.witnesses["falsifying_vector"] = spec_io.encode_vector(cert.witness)
@@ -275,14 +261,9 @@ def _cmd_perturb(args, report: RunReport) -> int:
     target = _target(spec)
     aux = spec.aux_operator if spec.aux_operator is not None else target
     bounds, bounds_source = _bounds_or_optimal(spec, family, target)
-    seed = _resolve_seed(args, spec)
-    cfg = _cert_config(args, seed)
-    rep = perturbation_check(family, perturbed, target, aux, bounds, cfg)
-    ok = (
-        rep.norm_margins.worst_lower_margin >= -args.tol
-        and rep.norm_margins.worst_upper_margin >= -args.tol
-    )
-    report.seed = seed
+    rep = perturbation_check(family, perturbed, target, aux, bounds, CertConfig(tol=args.tol))
+    ok = rep.derived.verdict == "certified"
+    report.seed = _resolve_seed(args, spec)
     report.bounds = {
         "input": spec_io.encode_bounds(bounds),
         "bounds_source": bounds_source,
@@ -295,13 +276,12 @@ def _cmd_perturb(args, report: RunReport) -> int:
     }
     report.residuals = {
         "M_estimate": _num(rep.M_estimate),
-        "samples_used": rep.samples_used,
-        "samples_skipped": rep.samples_skipped,
-        "worst_lower_margin": _num(rep.norm_margins.worst_lower_margin),
-        "worst_upper_margin": _num(rep.norm_margins.worst_upper_margin),
+        "M_kind": rep.M_kind,
+        "worst_lower_margin": _num(rep.derived.min_gap_lower),
+        "worst_upper_margin": _num(rep.derived.min_gap_upper),
         "converse_M": None if rep.converse_M is None else _num(rep.converse_M),
     }
-    report.witnesses["worst_sample"] = spec_io.encode_vector(rep.worst_sample)
+    report.witnesses["M_witness"] = spec_io.encode_vector(rep.witness)
     return EXIT_OK if ok else EXIT_FALSIFIED
 
 
@@ -389,8 +369,9 @@ def run_command(argv: list[str]) -> tuple[int, RunReport]:
         report.error = f"{type(exc).__name__}: {exc}"
         code = EXIT_INPUT
     except Exception as exc:  # the CLI surfaces failures, it never panics
-        report.error = f"{type(exc).__name__}: {exc}"
-        code = EXIT_INPUT
+        traceback.print_exc(file=sys.stderr)  # a bug: keep where it happened
+        report.error = f"InternalError: {type(exc).__name__}: {exc}"
+        code = EXIT_INTERNAL
     if getattr(args, "timing", False):
         report.timing_s = time.perf_counter() - started
 

@@ -3,7 +3,8 @@
 Two families matter to callers: input problems (``ShapeMismatchError`` and
 plain ``ValueError``) and failed mathematical hypotheses
 (``HypothesisError`` subclasses).  The CLI maps the former to exit code 3
-and the latter to exit code 4.
+and the latter to exit code 4; any other exception is an internal error,
+exit code 5.
 """
 
 
@@ -37,10 +38,6 @@ class SingularFrameOperatorError(HypothesisError):
 
 class NoInclusionError(HypothesisError):
     """Required range inclusion does not hold."""
-
-
-class AllSamplesDegenerateError(HypothesisError):
-    """Every sample was skipped because its denominator was below tolerance."""
 
 
 class HypothesisFailedError(HypothesisError):

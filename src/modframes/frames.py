@@ -150,12 +150,9 @@ def is_normalized(bounds: FrameBounds, tol: float = 1e-12) -> bool:
 
 @dataclass
 class CertConfig:
-    """Certification tolerance, plus the sample count and seed of the sampled
-    norm-sandwich checks that ``verify`` and ``perturb`` run beside it."""
+    """Certification tolerance: a margin below ``-tol`` falsifies its side."""
 
-    samples: int = 1000
     tol: float = 1e-9
-    seed: int = 0
 
 
 @dataclass
@@ -368,7 +365,9 @@ def norm_bound_check(
     """Evaluate ||A K* f||^2 <= ||sum_i <L_i f, L_i f>|| <= ||B f||^2 per sample.
 
     This is the necessary scalar-norm condition of the frame inequality;
-    margins below zero disprove the corresponding bound.
+    margins below zero disprove the corresponding bound.  For scalar bounds
+    it holds for every f exactly when the PSD pair ``certify`` decides holds,
+    so the pipelines call ``certify`` instead.
     """
     if not samples:
         raise ValueError("norm_bound_check needs at least one sample")

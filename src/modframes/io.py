@@ -26,6 +26,11 @@ class SpecFormatError(ModframesError, ValueError):
     """Spec file is malformed; the message names the offending field."""
 
 
+# Largest |re|, |im| of a spec entry and largest scalar bound: below it, Gram
+# matrices (about MAX_ENTRY**2) times squared bounds stay finite.
+MAX_ENTRY = 1e50
+
+
 def _decode_entry(value, path: str) -> complex:
     if (
         not isinstance(value, (list, tuple))
@@ -33,12 +38,28 @@ def _decode_entry(value, path: str) -> complex:
         or not all(isinstance(v, (int, float)) for v in value)
     ):
         raise SpecFormatError(f"{path}: complex entry must be a [re, im] pair, got {value!r}")
-    if not all(math.isfinite(v) for v in value):
+    if not all(math.isfinite(v) for v in value if isinstance(v, float)):
         raise SpecFormatError(f"{path}: complex entry must be finite, got {value!r}")
+    if not all(abs(v) <= MAX_ENTRY for v in value):
+        raise SpecFormatError(
+            f"{path}: complex entry exceeds {MAX_ENTRY:g} in magnitude, got {value!r}"
+        )
     return complex(value[0], value[1])
 
 
 def decode_matrix(data, dim: int, path: str) -> np.ndarray:
+    # Fast path for a well-formed numeric matrix; anything else is decoded
+    # entry by entry, which names the offending field.
+    try:
+        arr = np.asarray(data)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is not None and arr.shape == (dim, dim, 2) and arr.dtype.kind in "iuf":
+        arr = arr.astype(np.float64)
+        if np.all(np.abs(arr) <= MAX_ENTRY):  # NaN and inf fail this too
+            out = np.empty((dim, dim), dtype=np.complex128)
+            out.real, out.imag = arr[..., 0], arr[..., 1]
+            return out
     if not isinstance(data, list) or len(data) != dim:
         raise SpecFormatError(f"{path}: expected {dim} rows")
     out = np.empty((dim, dim), dtype=np.complex128)
@@ -118,9 +139,13 @@ def decode_bounds(data, dim: int, path: str = "bounds") -> FrameBounds:
         raise SpecFormatError(f"{path}.mode: must be 'scalar' or 'algebra'")
     if data["mode"] == "scalar":
         try:
-            return FrameBounds.scalar(float(data["lower"]), float(data["upper"]), dim)
+            bounds = FrameBounds.scalar(float(data["lower"]), float(data["upper"]), dim)
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecFormatError(f"{path}: bad scalar bounds ({exc})") from None
+        for name, value in (("lower", bounds.alpha), ("upper", bounds.beta)):
+            if value > MAX_ENTRY:
+                raise SpecFormatError(f"{path}.{name}: exceeds {MAX_ENTRY:g}, got {value!r}")
+        return bounds
     lower = decode_matrix(data.get("lower"), dim, f"{path}.lower")
     upper = decode_matrix(data.get("upper"), dim, f"{path}.upper")
     return FrameBounds(lower=lower, upper=upper, mode="algebra")

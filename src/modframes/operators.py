@@ -246,13 +246,14 @@ def pencil_alpha_flat(p: np.ndarray, s: np.ndarray, tol: float = 1e-9) -> float:
     Splitting along the kernel of p, the constraint on mixed directions is
     absorbed by the Schur complement of the kernel block of s; the extremum
     is then the smallest eigenvalue of the diagonally rescaled complement.
-    Returns ``inf`` when p vanishes at tolerance.
+    Returns ``inf`` when p is zero up to its own roundoff, whatever its
+    scale; eigenvalues below ``tol`` times the largest count as kernel.
     """
     p = _hermitize(np.asarray(p, dtype=np.complex128))
     s = _hermitize(np.asarray(s, dtype=np.complex128))
     w, v = np.linalg.eigh(p)
     wmax = float(w[-1]) if w.size else 0.0
-    if wmax <= tol:
+    if wmax <= w.size * np.finfo(float).eps * float(np.max(np.abs(w), initial=0.0)):
         return math.inf
     mask = w > tol * wmax
     v1 = v[:, mask]

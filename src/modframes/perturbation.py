@@ -1,16 +1,18 @@
 """Perturbation analysis for certified families.
 
 Given a certified family {L_i} and a candidate perturbation {G_i}, the
-relative perturbation constant M bounds
+relative perturbation constant M is the smallest number with
 
     ||sum_i <(L_i - G_i) f, (L_i - G_i) f>||
         <= M * min(||sum_i <L_i f, L_i f>||, ||sum_i <G_i f, G_i f>||)
 
-over the sample set; a finite M transfers the frame property to {G_i} with
-norm bounds ||A||^2 / (1 + sqrt(M))^2 and (1 + sqrt(M))^2 ||B||^2.  The
-"for all f" hypothesis cannot be decided exactly for algebra-valued data,
-so M is estimated on samples and the report always records how many were
-used and how many were skipped for vanishing denominators.
+for all f; a finite M transfers the frame property to {G_i} with norm
+bounds ||A||^2 / (1 + sqrt(M))^2 and (1 + sqrt(M))^2 ||B||^2.  Over M_d(C)
+M is decided exactly: with D = sum_i flat(L_i - G_i) flat(L_i - G_i)^H and
+S the flattened frame operator, sup_X ||X D X*|| / ||X S X*|| is the pencil
+maximum lambda_max(D, S), attained at a rank-one X, so
+M = max(lambda_max(D, S_L), lambda_max(D, S_G)).  M is infinite when D
+reaches the kernel of either frame operator.
 """
 
 from __future__ import annotations
@@ -21,98 +23,90 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .errors import (
-    AllSamplesDegenerateError,
-    HypothesisFailedError,
-    ShapeMismatchError,
-)
+from .errors import HypothesisFailedError, ShapeMismatchError
 from .frames import (
     CertConfig,
     FrameBounds,
-    NormBoundReport,
+    FrameCertificate,
     OperatorFamily,
     analysis_operator,
     certify,
-    norm_bound_check,
+    frame_operator,
     optimal_scalar_bounds,
 )
-from .module import ModuleVector, sample_vectors
+from .module import ModuleVector
 from .operators import ModuleOperator, douglas_check
 
-DENOM_TOL = 1e-12
+# Eigenvalues of a frame operator below this multiple of its largest one
+# span its kernel; D reaches that kernel when its trace there exceeds this
+# multiple of its whole trace.
+KERNEL_RTOL = 1e-12
 
 
 @dataclass
 class PerturbationReport:
     """Outcome of the perturbation transfer check.
 
-    ``derived_lower``/``derived_upper`` are computed exactly from the stated
-    formulas given (||A||, ||B||, M); ``analysis_rank`` is the rank of the
-    perturbed family's analysis operator, surfaced because the converse
-    machinery needs it to have closed range (full rank here).
+    ``M_estimate`` is the exact constant (``M_kind`` says so), attained at
+    the rank-one ``witness``; ``derived`` certifies {G_i} against Lop at the
+    bounds derived from (||A||, ||B||, M).  ``analysis_rank`` is the rank of
+    the perturbed analysis operator, which the converse machinery needs to
+    have closed range (full rank here).
     """
 
     M_estimate: float
-    samples_used: int
-    samples_skipped: int
+    M_kind: str
     derived_lower: float
     derived_upper: float
-    worst_sample: ModuleVector
-    norm_margins: NormBoundReport
+    witness: ModuleVector
+    derived: FrameCertificate
     analysis_rank: int
     converse_M: float | None
 
 
-def _quadratic_norms(
-    families: tuple[OperatorFamily, ...], samples: list[ModuleVector]
-) -> np.ndarray:
-    """||sum_i <L_i f, L_i f>|| per (family, sample)."""
-    grams = [sum(m.flat @ np.conj(m.flat.T) for m in fam.members) for fam in families]
-    out = np.empty((len(families), len(samples)))
-    for j, f in enumerate(samples):
-        for i, g in enumerate(grams):
-            out[i, j] = np.linalg.norm(f.flat @ g @ np.conj(f.flat.T), 2)
-    return out
-
-
-def _difference_family(L: OperatorFamily, G: OperatorFamily) -> OperatorFamily:
+def _difference_gram(L: OperatorFamily, G: OperatorFamily) -> np.ndarray:
     if len(L) != len(G) or L.target_ranks != G.target_ranks or L.dim != G.dim:
         raise ShapeMismatchError("families must be indexed alike to compare")
-    return OperatorFamily([a - b for a, b in zip(L.members, G.members)])
+    diff = analysis_operator(L).flat - analysis_operator(G).flat
+    return diff @ np.conj(diff.T)
 
 
-def _perturbation_scan(
-    L: OperatorFamily,
-    G: OperatorFamily,
-    samples: list[ModuleVector],
-    denom_tol: float = DENOM_TOL,
-) -> tuple[float, int, int, ModuleVector]:
-    diff = _difference_family(L, G)
-    vals = _quadratic_norms((diff, L, G), samples)
-    num = vals[0]
-    den = np.minimum(vals[1], vals[2])
-    usable = den >= denom_tol
-    if not np.any(usable):
-        raise AllSamplesDegenerateError(
-            "all sample denominators vanished; the ratio is undefined"
-        )
-    ratios = np.where(usable, num / np.maximum(den, denom_tol), -math.inf)
-    worst = int(np.argmax(ratios))
-    m = float(ratios[worst])
-    return m, int(np.sum(usable)), int(np.sum(~usable)), samples[worst]
+def _pencil_max(d_hat: np.ndarray, s_hat: np.ndarray) -> tuple[float, np.ndarray]:
+    """lambda_max(D, S) = sup_x x* D x / x* S x for PSD D, S, with a maximiser x.
+
+    S splits along its kernel: when D reaches the kernel the supremum is
+    ``inf`` and x is the kernel direction where D is largest; otherwise it
+    is the largest eigenvalue of D whitened on the range of S.
+    """
+    w, v = np.linalg.eigh(0.5 * (s_hat + np.conj(s_hat.T)))
+    keep = w > KERNEL_RTOL * max(float(w[-1]), 0.0)
+    v0 = v[:, ~keep]
+    d0 = np.conj(v0.T) @ d_hat @ v0
+    if float(np.trace(d0).real) > KERNEL_RTOL * float(np.trace(d_hat).real):
+        _, y = np.linalg.eigh(0.5 * (d0 + np.conj(d0.T)))
+        return math.inf, v0 @ y[:, -1]
+    whiten = v[:, keep] / np.sqrt(w[keep])[None, :]
+    h = np.conj(whiten.T) @ d_hat @ whiten
+    lam, y = np.linalg.eigh(0.5 * (h + np.conj(h.T)))
+    return max(float(lam[-1]), 0.0), whiten @ y[:, -1]
 
 
-def perturbation_constant(
-    L: OperatorFamily,
-    G: OperatorFamily,
-    samples: list[ModuleVector],
-    denom_tol: float = DENOM_TOL,
-) -> float:
-    """Smallest M validating the perturbation hypothesis over the samples."""
-    if not samples:
-        raise ValueError("perturbation_constant needs at least one sample")
-    m, _, _, _ = _perturbation_scan(L, G, samples, denom_tol)
-    return m
+def _exact_constant(L: OperatorFamily, G: OperatorFamily) -> tuple[float, ModuleVector]:
+    """M and the rank-one witness X whose first row is the conjugate maximiser,
+    so that X D X* = (x* D x) e_1 e_1*."""
+    d_hat = _difference_gram(L, G)
+    m, x = 0.0, np.eye(len(d_hat))[0]
+    if np.any(d_hat):
+        m, x = max((_pencil_max(d_hat, frame_operator(F).flat) for F in (L, G)), key=lambda t: t[0])
+    flat = np.zeros((L.dim, len(x)), dtype=np.complex128)
+    flat[0, :] = np.conj(x)
+    return m, ModuleVector(L.dim, L.source_rank, flat)
+
+
+def perturbation_constant(L: OperatorFamily, G: OperatorFamily) -> float:
+    """The exact perturbation constant M (``inf`` when D reaches the kernel
+    of either frame operator); 0 when the families coincide."""
+    return _exact_constant(L, G)[0]
 
 
 def perturbed_frame_bounds(normA: float, normB: float, M: float) -> tuple[float, float]:
@@ -149,10 +143,9 @@ def perturbation_check(
 
     Hypotheses checked first: {L_i} must certify (not falsify) against
     (K, boundsL), and range(Lop) must be contained in range(K) with K of
-    closed range (automatic here).  M is then estimated on the configured
-    sample set, the transferred bounds are computed, and the scalar-norm
-    sandwich for {G_i} against Lop at the derived bounds is evaluated on the
-    same samples.
+    closed range (automatic here).  M is then computed exactly (a finite M
+    is a hypothesis too), the transferred bounds follow from it, and {G_i}
+    is certified against Lop at those bounds.
     """
     cfg = cfg or CertConfig()
     cert = certify(L, K, boundsL, cfg)
@@ -164,24 +157,27 @@ def perturbation_check(
     if not incl.range_included:
         raise HypothesisFailedError("range(Lop) is not contained in range(K)")
 
-    samples = sample_vectors(L.dim, L.source_rank, cfg.samples, cfg.seed)
-    m, used, skipped, worst = _perturbation_scan(L, G, samples)
+    m, witness = _exact_constant(L, G)
+    if math.isinf(m):
+        raise HypothesisFailedError(
+            "perturbation constant is infinite: the difference family reaches "
+            "the kernel of a frame operator",
+            witness=witness,
+        )
     norm_a = algebra.opnorm(boundsL.lower)
     norm_b = algebra.opnorm(boundsL.upper)
     lo, up = perturbed_frame_bounds(norm_a, norm_b, m)
-    derived = FrameBounds.scalar(math.sqrt(lo), math.sqrt(up), L.dim)
-    margins = norm_bound_check(G, Lop, derived, samples)
+    derived = certify(G, Lop, FrameBounds.scalar(math.sqrt(lo), math.sqrt(up), L.dim), cfg)
     rank = int(np.linalg.matrix_rank(analysis_operator(G).flat))
 
     converse = _converse_if_applicable(G, K, Lop, norm_a, norm_b, cfg)
     return PerturbationReport(
         M_estimate=m,
-        samples_used=used,
-        samples_skipped=skipped,
+        M_kind="exact",
         derived_lower=lo,
         derived_upper=up,
-        worst_sample=worst,
-        norm_margins=margins,
+        witness=witness,
+        derived=derived,
         analysis_rank=rank,
         converse_M=converse,
     )

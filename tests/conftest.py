@@ -120,3 +120,34 @@ def near_scalar_spec(path, eps: float, seed: int = 3, d: int = 2):
     )
     save_spec(spec, path)
     return spec
+
+
+def cholesky_pencil_max(p: np.ndarray, s: np.ndarray) -> float:
+    """Independent oracle for lambda_max(p, s) = max_x x*px / x*sx with s
+    positive definite: the largest eigenvalue of p whitened by the Cholesky
+    factor of s."""
+    ci = np.linalg.inv(np.linalg.cholesky(0.5 * (s + np.conj(s.T))))
+    w = ci @ p @ np.conj(ci.T)
+    return float(np.linalg.eigvalsh(0.5 * (w + np.conj(w.T)))[-1])
+
+
+def quadratic_norm(members, x) -> float:
+    """||sum_i <L_i x, L_i x>||, summed blockwise from member inner products."""
+    from modframes import apply, inner_product
+
+    quad = sum(inner_product(apply(m, x), apply(m, x)) for m in members)
+    return float(np.linalg.norm(quad, 2))
+
+
+def sampled_perturbation_scan(L: OperatorFamily, G: OperatorFamily, samples, denom_tol=1e-12):
+    """Largest ratio ||sum <D_i f, D_i f>|| / min(||sum <L_i f, L_i f>||,
+    ||sum <G_i f, G_i f>||) over the samples whose denominator clears
+    ``denom_tol``, with D_i = L_i - G_i.  Each ratio is attained at its
+    sample, so the scan bounds the perturbation constant from below."""
+    diff = [a - b for a, b in zip(L.members, G.members)]
+    best = -np.inf
+    for f in samples:
+        den = min(quadratic_norm(L.members, f), quadratic_norm(G.members, f))
+        if den >= denom_tol:
+            best = max(best, quadratic_norm(diff, f) / den)
+    return float(best)

@@ -89,6 +89,40 @@ class TestRoundTrip:
         code, report = run_command(["verify", str(path)])
         assert code == 3 and "SpecFormatError" in report.error
 
+    @pytest.mark.parametrize(
+        "keys, field",
+        [
+            (("operators", 0, "blocks", 1, 0, 0, 1), "operators[0].blocks[1][0][0][1]"),
+            (("bounds", "lower", 0, 1), "bounds.lower[0][1]"),
+        ],
+        ids=["operator", "bound"],
+    )
+    @pytest.mark.parametrize("big", [1e200, 10**400], ids=["float", "int"])
+    def test_oversized_entry_names_field(self, tmp_path, big, keys, field, capfd):
+        spec = generate_instance("known-bounds", 2, 2, 2, seed=1)
+        spec.bounds = FrameBounds(lower=spec.bounds.lower, upper=spec.bounds.upper, mode="algebra")
+        data = json.loads(spec.to_json())
+        entry = data
+        for key in keys:
+            entry = entry[key]
+        entry[0] = big
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SpecFormatError, match="magnitude") as err:
+            load_spec(path)
+        assert field in str(err.value)
+        code, report = run_command(["verify", str(path)])
+        assert code == 3 and field in report.error
+        assert capfd.readouterr().err == ""
+
+    def test_oversized_scalar_bound_names_field(self, tmp_path):
+        data = json.loads(generate_instance("known-bounds", 2, 2, 2, seed=1).to_json())
+        data["bounds"]["upper"] = 1e200
+        path = tmp_path / "huge-scalar.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SpecFormatError, match=r"bounds\.upper"):
+            load_spec(path)
+
     def test_missing_required_field(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text("{}")
@@ -249,11 +283,43 @@ class TestCliContract:
 
     def test_perturb_command(self, tmp_path):
         path = self._gen(tmp_path, "perturbed-pair", 25)
-        code, report = run_command(
-            ["perturb", str(path), "--samples", "100", "--restarts", "3"]
-        )
+        code, report = run_command(["perturb", str(path)])
         assert code == 0
-        assert report.residuals["M_estimate"] >= 0.0
+        assert report.verdicts["derived_bounds_hold"] is True
+        assert report.residuals["M_estimate"] > 0.0
+        assert report.residuals["M_kind"] == "exact"
+        assert "samples_used" not in report.residuals
+        res = report.residuals
+        assert min(res["worst_lower_margin"], res["worst_upper_margin"]) >= -1e-9
+        assert decode_vector(report.witnesses["M_witness"]).dim == 2
+
+    @pytest.mark.parametrize(
+        "kind, sub", [("known-bounds", "verify"), ("perturbed-pair", "perturb")]
+    )
+    def test_samples_accepted_and_ignored(self, tmp_path, capsys, kind, sub):
+        path = self._gen(tmp_path, kind, 28)
+        capsys.readouterr()
+        outputs = []
+        for extra in ([], ["--samples", "120"], ["--samples", "120"]):
+            assert run_command([sub, str(path), *extra])[0] == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[2]
+        plain, flagged = (json.loads(out) for out in outputs[:2])
+        assert flagged.pop("command") == [sub, str(path), "--samples", "120"]
+        plain.pop("command")
+        assert plain == flagged
+
+    def test_exit_five_internal_error(self, tmp_path, monkeypatch, capsys):
+        import modframes.cli as cli
+
+        def broken(args, report):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "verify", broken)
+        code, report = run_command(["verify", str(tmp_path / "unused.json")])
+        assert code == cli.EXIT_INTERNAL == 5
+        assert report.error == "InternalError: RuntimeError: boom"
+        assert "Traceback" in capsys.readouterr().err
 
     def test_tensor_command(self, tmp_path):
         p1 = self._gen(tmp_path, "dual-pair", 26)

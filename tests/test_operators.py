@@ -8,15 +8,18 @@ import pytest
 from modframes import (
     ModuleOperator,
     NotPositiveError,
+    OperatorFamily,
     ShapeMismatchError,
     apply,
     compose,
     douglas_check,
     flatten,
+    generate_instance,
     inner_product,
     module_action,
     op_adjoint,
     operator_pencil_alpha,
+    optimal_scalar_bounds,
     pseudoinverse,
     random_operator,
     random_vector,
@@ -221,6 +224,16 @@ class TestPencil:
     def test_zero_gives_sentinel(self):
         eye = ModuleOperator.identity(1, 3)
         assert math.isinf(operator_pencil_alpha(ModuleOperator.zero(1, 3, 3), eye))
+
+    @pytest.mark.parametrize("c", [1e-3, 1e-5, 1e-8])
+    def test_scale_invariance_of_small_target(self, c):
+        # alpha(cK) = alpha(K) / c: a small p is not a zero p
+        spec = generate_instance("known-bounds", 2, 2, 2, seed=1)
+        fam, k = OperatorFamily(spec.operators), spec.target_operator
+        alpha, _ = optimal_scalar_bounds(fam, k)
+        alpha_c, _ = optimal_scalar_bounds(fam, c * k)
+        assert c * alpha_c == pytest.approx(alpha, rel=1e-9)
+        assert math.isinf(optimal_scalar_bounds(fam, 0.0 * k)[0])
 
     def test_rejects_non_positive(self):
         bad = ModuleOperator(1, 2, 2, np.diag([1.0, -1.0]).astype(complex))
