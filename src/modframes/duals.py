@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import algebra
 from .errors import NoInclusionError, ShapeMismatchError, SingularFrameOperatorError
 from .frames import OperatorFamily, analysis_operator, frame_operator, synthesis_operator
 from .operators import ModuleOperator, douglas_check, operator_norm
@@ -22,9 +23,10 @@ class DualPair:
     """A candidate dual pair together with its reconstruction residual.
 
     ``reconstruction_residual`` is the flattened operator norm of
-    sum_i L_i* G_i - K; the pair is ``verified`` when it is at most the
-    tolerance used by ``verify_dual``.  ``dual_bessel_bound`` is the optimal
-    upper (Bessel) scalar of the dual family, always finite here.
+    sum_i L_i* G_i - K; the pair is ``verified`` when it is at most
+    ``tol * max(1, ||K||)`` for the ``tol`` of ``verify_dual``.
+    ``dual_bessel_bound`` is the optimal upper (Bessel) scalar of the dual
+    family, always finite here.
     """
 
     primary_family: OperatorFamily
@@ -55,7 +57,12 @@ def reconstruction_operator(L: OperatorFamily, G: OperatorFamily) -> ModuleOpera
 def verify_dual(
     L: OperatorFamily, G: OperatorFamily, K: ModuleOperator, tol: float = 1e-10
 ) -> DualPair:
-    """Check the reconstruction identity as an exact operator identity."""
+    """Check the reconstruction identity as an exact operator identity.
+
+    The pair is verified when ``residual <= tol * max(1, ||K||)``: relative
+    to the target's norm, so a rescaled correct pair stays verified, and
+    absolute for targets of norm at most 1 (K = 0 included).
+    """
     _check_pair_shapes(L, G, K)
     residual = operator_norm(reconstruction_operator(L, G) - K)
     # Bessel (upper) bound of the dual: finite for every finite family.
@@ -65,7 +72,7 @@ def verify_dual(
         dual_family=G,
         target=K,
         reconstruction_residual=residual,
-        verified=residual <= tol,
+        verified=residual <= tol * max(1.0, operator_norm(K)),
         dual_bessel_bound=bessel,
     )
 
@@ -76,15 +83,15 @@ def canonical_dual(
     """The dual {L_i S^{-1} K} built from the inverse frame operator.
 
     Invertibility of S is checked numerically against the condition-number
-    cap; it is never assumed from surjectivity of K.
+    cap; it is never assumed from surjectivity of K.  One ``eigh`` of the
+    Hermitian S gives both: cond(S) = w_max / w_min and S^{-1} = (V/w) V^H.
     """
-    s = frame_operator(L)
-    sig = np.linalg.svd(s.flat, compute_uv=False)
-    if sig[-1] <= 0 or sig[0] / sig[-1] > cond_cap:
+    w, v = np.linalg.eigh(algebra.hermitian_part(frame_operator(L).flat))
+    if w[0] <= 0 or w[-1] / w[0] > cond_cap:
         raise SingularFrameOperatorError(
             f"frame operator condition number exceeds cap ({cond_cap:.1e})"
         )
-    s_inv = np.linalg.inv(s.flat)
+    s_inv = (v / w) @ np.conj(v.T)
     # Member action x -> L_i(S^{-1}(K x)) flattens to flat(K) S^{-1} flat(L_i).
     prefix = K.flat @ s_inv
     members = [

@@ -220,7 +220,7 @@ def _scalar_modulus(el: np.ndarray) -> float | None:
 def _psd_side(mat: np.ndarray, d: int, n: int) -> tuple[float, np.ndarray, str]:
     """Smallest eigenvalue of the side's PSD test and the witness X whose
     first row is the conjugate eigenvector, so that X mat X* has it in (0, 0)."""
-    w, v = np.linalg.eigh(0.5 * (mat + np.conj(mat.T)))
+    w, v = np.linalg.eigh(algebra.hermitian_part(mat))
     flat = np.zeros((d, n * d), dtype=np.complex128)
     flat[0, :] = np.conj(v[:, 0])
     return float(w[0]), flat, "exact"
@@ -334,14 +334,14 @@ def gap_matrices(
 def optimal_scalar_bounds(F: OperatorFamily, K: ModuleOperator) -> tuple[float, float]:
     """Extremal scalars (alpha, beta) making exact certification pass.
 
-    alpha^2 is the pencil extremum of flat(KK*) against the flattened frame
-    operator (inf when K vanishes); beta^2 is the frame operator's norm.
+    alpha^2 = 1 / pencil_max(flat(KK*), S_hat) with S_hat the flattened frame
+    operator (inf when K vanishes, 0 when flat(KK*) reaches the kernel of
+    S_hat); beta^2 is the frame operator's norm.
     """
     s_hat = _frame_gram(F)
     m_hat = _target_gram(K)
-    alpha_sq = pencil_alpha_flat(m_hat, s_hat)
-    alpha = math.inf if math.isinf(alpha_sq) else math.sqrt(max(alpha_sq, 0.0))
-    beta = math.sqrt(max(float(np.linalg.eigvalsh(0.5 * (s_hat + np.conj(s_hat.T)))[-1]), 0.0))
+    alpha = math.sqrt(pencil_alpha_flat(m_hat, s_hat))
+    beta = math.sqrt(max(float(np.linalg.eigvalsh(algebra.hermitian_part(s_hat))[-1]), 0.0))
     return alpha, beta
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import algebra
 from .duals import canonical_dual
 from .errors import ModframesError
 from .frames import FrameBounds, OperatorFamily, frame_operator, optimal_scalar_bounds
@@ -307,7 +308,7 @@ def generate_instance(
 
     if kind == "tight":
         s_flat = frame_operator(family).flat
-        w, v = np.linalg.eigh(0.5 * (s_flat + np.conj(s_flat.T)))
+        w, v = np.linalg.eigh(algebra.hermitian_part(s_flat))
         inv_sqrt = (v / np.sqrt(w)[None, :]) @ np.conj(v.T)
         spec.operators = [
             ModuleOperator(m.dim, m.source_rank, m.target_rank, inv_sqrt @ m.flat)

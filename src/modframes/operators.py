@@ -5,8 +5,13 @@ with an n x m block matrix over A.  Flattened, an operator is an ordinary
 (n*d) x (m*d) complex matrix T acting on flattened vectors as X -> X T, the
 adjoint is the conjugate transpose, and composition is the matrix product.
 Every operation here (pseudoinverse, range-inclusion tests, the
-majorization/factorization equivalence) is therefore plain dense linear
-algebra on the flattened matrices.
+majorization/factorization equivalence, the pencil extremum) is therefore
+plain dense linear algebra on the flattened matrices.
+
+``pencil_max`` is the only pencil routine: the optimal lower frame bound
+(``pencil_alpha_flat``) and the perturbation constant both come from it,
+so both follow its one kernel rule, a split of s at ``KERNEL_RTOL``
+relative to its largest eigenvalue.
 """
 
 from __future__ import annotations
@@ -192,16 +197,15 @@ def douglas_check(K: ModuleOperator, L: ModuleOperator, tol: float = DOUGLAS_TOL
     sig_stack = np.linalg.svd(stacked, compute_uv=False)
     smax = sig_stack[0] if sig_stack.size else 0.0
     cut = tol * max(smax, 1.0)
-    sig_l = np.linalg.svd(l, compute_uv=False)
-    rank_l = int(np.sum(sig_l > cut))
-    rank_stack = int(np.sum(sig_stack > cut))
-    v_rank = rank_stack == rank_l
-
-    # Majorization constant on the row space of L: with l = U S Vh, the
-    # admissible directions are spanned by the leading right singular
+    # One SVD of l gives both its rank and, with l = U S Vh, the admissible
+    # directions of the majorization constant: the leading right singular
     # vectors, where ||k v|| / ||l v|| reduces to the norm of k V1 S1^{-1}.
     _, s_l, vh_l = np.linalg.svd(l, full_matrices=False)
     mask = s_l > cut
+    rank_l = int(np.sum(mask))
+    rank_stack = int(np.sum(sig_stack > cut))
+    v_rank = rank_stack == rank_l
+
     norm_k = float(np.linalg.norm(k, 2))
     if np.any(mask):
         v1 = np.conj(vh_l[mask].T)
@@ -209,7 +213,7 @@ def douglas_check(K: ModuleOperator, L: ModuleOperator, tol: float = DOUGLAS_TOL
     else:
         lam = 0.0
     major_gap = float(
-        np.linalg.eigvalsh(_hermitize(lam**2 * np.conj(l.T) @ l - np.conj(k.T) @ k))[0]
+        np.linalg.eigvalsh(algebra.hermitian_part(lam**2 * np.conj(l.T) @ l - np.conj(k.T) @ k))[0]
     )
     v_major = major_gap >= -tol * (1.0 + norm_k**2)
 
@@ -236,41 +240,52 @@ def douglas_check(K: ModuleOperator, L: ModuleOperator, tol: float = DOUGLAS_TOL
     return DouglasReport(range_included=True, lambda_min=lam, factor=factor, residual=residual)
 
 
-def _hermitize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + np.conj(m.T))
+# Eigenvalues of s below this multiple of its largest one span its kernel;
+# p reaches that kernel when its trace there exceeds this multiple of its
+# whole trace.
+KERNEL_RTOL = 1e-12
 
 
-def pencil_alpha_flat(p: np.ndarray, s: np.ndarray, tol: float = 1e-9) -> float:
+def pencil_max(p: np.ndarray, s: np.ndarray) -> tuple[float, np.ndarray]:
+    """lambda_max(p, s) = sup_x x* p x / x* s x for PSD p, s, with a maximiser x.
+
+    The one kernel rule: s splits along its kernel (eigenvalues below
+    ``KERNEL_RTOL`` times its largest).  When p reaches that kernel the
+    supremum is ``inf`` and x is the kernel direction where p is largest;
+    otherwise it is the largest eigenvalue of p whitened on the range of s.
+    A zero p gives 0 with x = e_1.
+    """
+    p = algebra.hermitian_part(p)
+    if not np.any(p):
+        return 0.0, np.eye(len(p))[0]
+    w, v = np.linalg.eigh(algebra.hermitian_part(s))
+    keep = w > KERNEL_RTOL * max(float(w[-1]), 0.0)
+    v0 = v[:, ~keep]
+    p0 = np.conj(v0.T) @ p @ v0
+    if float(np.trace(p0).real) > KERNEL_RTOL * float(np.trace(p).real):
+        _, y = np.linalg.eigh(algebra.hermitian_part(p0))
+        return math.inf, v0 @ y[:, -1]
+    whiten = v[:, keep] / np.sqrt(w[keep])[None, :]
+    lam, y = np.linalg.eigh(algebra.hermitian_part(np.conj(whiten.T) @ p @ whiten))
+    return max(float(lam[-1]), 0.0), whiten @ y[:, -1]
+
+
+def pencil_alpha_flat(p: np.ndarray, s: np.ndarray) -> float:
     """Largest alpha >= 0 with alpha*p <= s in Loewner order, for PSD p, s.
 
-    Splitting along the kernel of p, the constraint on mixed directions is
-    absorbed by the Schur complement of the kernel block of s; the extremum
-    is then the smallest eigenvalue of the diagonally rescaled complement.
-    Returns ``inf`` when p is zero up to its own roundoff, whatever its
-    scale; eigenvalues below ``tol`` times the largest count as kernel.
+    This is 1 / ``pencil_max(p, s)``: ``inf`` when p is zero and 0 when p
+    reaches the kernel of s.
     """
-    p = _hermitize(np.asarray(p, dtype=np.complex128))
-    s = _hermitize(np.asarray(s, dtype=np.complex128))
-    w, v = np.linalg.eigh(p)
-    wmax = float(w[-1]) if w.size else 0.0
-    if wmax <= w.size * np.finfo(float).eps * float(np.max(np.abs(w), initial=0.0)):
-        return math.inf
-    mask = w > tol * wmax
-    v1 = v[:, mask]
-    w1 = w[mask]
-    s11 = np.conj(v1.T) @ s @ v1
-    if np.any(~mask):
-        v0 = v[:, ~mask]
-        s00 = np.conj(v0.T) @ s @ v0
-        s01 = np.conj(v0.T) @ s @ v1
-        s11 = s11 - np.conj(s01.T) @ np.linalg.pinv(s00, rcond=1e-12) @ s01
-    scaled = s11 / np.sqrt(w1)[:, None] / np.sqrt(w1)[None, :]
-    alpha = float(np.linalg.eigvalsh(_hermitize(scaled))[0])
-    return max(alpha, 0.0)
+    lam = pencil_max(p, s)[0]
+    return math.inf if lam == 0.0 else 1.0 / lam
 
 
 def operator_pencil_alpha(P: ModuleOperator, S: ModuleOperator, tol: float = 1e-9) -> float:
-    """Pencil extremum for self-adjoint positive module endomorphisms."""
+    """Pencil extremum for self-adjoint positive module endomorphisms.
+
+    ``tol`` only validates the operands (self-adjoint and positive within
+    ``tol * (1 + ||op||)``); the extremum itself is ``pencil_alpha_flat``.
+    """
     if (P.dim, P.source_rank, P.target_rank) != (S.dim, S.source_rank, S.target_rank):
         raise ShapeMismatchError("pencil operands must share one space")
     for name, op in (("P", P), ("S", S)):
@@ -279,6 +294,6 @@ def operator_pencil_alpha(P: ModuleOperator, S: ModuleOperator, tol: float = 1e-
         nrm = operator_norm(op)
         if float(np.linalg.norm(op.flat - np.conj(op.flat.T), 2)) > tol * (1.0 + nrm):
             raise NotPositiveError(f"{name} is not self-adjoint")
-        if float(np.linalg.eigvalsh(_hermitize(op.flat))[0]) < -tol * (1.0 + nrm):
+        if float(np.linalg.eigvalsh(algebra.hermitian_part(op.flat))[0]) < -tol * (1.0 + nrm):
             raise NotPositiveError(f"{name} is not positive")
-    return pencil_alpha_flat(P.flat, S.flat, tol)
+    return pencil_alpha_flat(P.flat, S.flat)

@@ -11,7 +11,9 @@ bounds ||A||^2 / (1 + sqrt(M))^2 and (1 + sqrt(M))^2 ||B||^2.  Over M_d(C)
 M is decided exactly: with D = sum_i flat(L_i - G_i) flat(L_i - G_i)^H and
 S the flattened frame operator, sup_X ||X D X*|| / ||X S X*|| is the pencil
 maximum lambda_max(D, S), attained at a rank-one X, so
-M = max(lambda_max(D, S_L), lambda_max(D, S_G)).  M is infinite when D
+M = max(lambda_max(D, S_L), lambda_max(D, S_G)).  Both maxima come from
+``operators.pencil_max``, the pencil routine that also gives the optimal
+lower frame bound, so M follows its kernel rule: M is infinite when D
 reaches the kernel of either frame operator.
 """
 
@@ -35,12 +37,7 @@ from .frames import (
     optimal_scalar_bounds,
 )
 from .module import ModuleVector
-from .operators import ModuleOperator, douglas_check
-
-# Eigenvalues of a frame operator below this multiple of its largest one
-# span its kernel; D reaches that kernel when its trace there exceeds this
-# multiple of its whole trace.
-KERNEL_RTOL = 1e-12
+from .operators import ModuleOperator, douglas_check, pencil_max
 
 
 @dataclass
@@ -71,33 +68,11 @@ def _difference_gram(L: OperatorFamily, G: OperatorFamily) -> np.ndarray:
     return diff @ np.conj(diff.T)
 
 
-def _pencil_max(d_hat: np.ndarray, s_hat: np.ndarray) -> tuple[float, np.ndarray]:
-    """lambda_max(D, S) = sup_x x* D x / x* S x for PSD D, S, with a maximiser x.
-
-    S splits along its kernel: when D reaches the kernel the supremum is
-    ``inf`` and x is the kernel direction where D is largest; otherwise it
-    is the largest eigenvalue of D whitened on the range of S.
-    """
-    w, v = np.linalg.eigh(0.5 * (s_hat + np.conj(s_hat.T)))
-    keep = w > KERNEL_RTOL * max(float(w[-1]), 0.0)
-    v0 = v[:, ~keep]
-    d0 = np.conj(v0.T) @ d_hat @ v0
-    if float(np.trace(d0).real) > KERNEL_RTOL * float(np.trace(d_hat).real):
-        _, y = np.linalg.eigh(0.5 * (d0 + np.conj(d0.T)))
-        return math.inf, v0 @ y[:, -1]
-    whiten = v[:, keep] / np.sqrt(w[keep])[None, :]
-    h = np.conj(whiten.T) @ d_hat @ whiten
-    lam, y = np.linalg.eigh(0.5 * (h + np.conj(h.T)))
-    return max(float(lam[-1]), 0.0), whiten @ y[:, -1]
-
-
 def _exact_constant(L: OperatorFamily, G: OperatorFamily) -> tuple[float, ModuleVector]:
     """M and the rank-one witness X whose first row is the conjugate maximiser,
     so that X D X* = (x* D x) e_1 e_1*."""
     d_hat = _difference_gram(L, G)
-    m, x = 0.0, np.eye(len(d_hat))[0]
-    if np.any(d_hat):
-        m, x = max((_pencil_max(d_hat, frame_operator(F).flat) for F in (L, G)), key=lambda t: t[0])
+    m, x = max((pencil_max(d_hat, frame_operator(F).flat) for F in (L, G)), key=lambda t: t[0])
     flat = np.zeros((L.dim, len(x)), dtype=np.complex128)
     flat[0, :] = np.conj(x)
     return m, ModuleVector(L.dim, L.source_rank, flat)

@@ -12,6 +12,7 @@ from modframes import (
     canonical_dual,
     compose,
     frame_operator,
+    generate_instance,
     minimal_dual,
     operator_norm,
     preframe_consistency,
@@ -56,6 +57,19 @@ class TestVerifyDual:
         assert pair.reconstruction_residual <= 1e-10
         assert pair.dual_bessel_bound > 0
 
+    @pytest.mark.parametrize("scale", [1e6, 1e7, 1e8])
+    def test_scaled_pair_stays_verified(self, scale):
+        # the residual is judged against tol * max(1, ||K||), not tol alone
+        spec = generate_instance("known-bounds", 2, 2, 3, seed=0)
+        fam = OperatorFamily([scale * m for m in spec.operators])
+        k = scale * spec.target_operator
+        dual = canonical_dual(fam, k)
+        assert verify_dual(fam, dual, k, tol=1e-9).verified
+        corrupted = OperatorFamily([(1 + 1e-6) * m for m in dual.members])
+        pair = verify_dual(fam, corrupted, k, tol=1e-9)
+        assert not pair.verified
+        assert pair.reconstruction_residual == pytest.approx(1e-6 * operator_norm(k), rel=1e-3)
+
 
 class TestCanonicalDual:
     def test_tight_identity_target_reproduces_family(self, rng):
@@ -88,6 +102,22 @@ class TestCanonicalDual:
         fam = OperatorFamily([member])
         with pytest.raises(SingularFrameOperatorError):
             canonical_dual(fam, ModuleOperator.identity(2, 2))
+
+    @pytest.mark.parametrize("cond, accepted", [(1e11, True), (1e13, False)])
+    def test_condition_cap(self, rng, cond, accepted):
+        # members T L_i of a tight family have frame operator T T* = U diag(w) U*
+        fam = tight_family(2, 2, 3, rng)
+        u = random_unitary(4, rng)
+        w = np.geomspace(1.0, 1.0 / cond, 4)
+        t = (u * np.sqrt(w)[None, :]) @ np.conj(u.T)
+        skewed = OperatorFamily(
+            [ModuleOperator(2, 2, m.target_rank, t @ m.flat) for m in fam.members]
+        )
+        if accepted:
+            canonical_dual(skewed, ModuleOperator.identity(2, 2))
+        else:
+            with pytest.raises(SingularFrameOperatorError):
+                canonical_dual(skewed, ModuleOperator.identity(2, 2))
 
 
 class TestMinimalDual:

@@ -358,6 +358,12 @@ class TestCliContract:
         assert report.bounds["lower"] == pytest.approx(1.0, abs=1e-8)
         assert report.bounds["upper"] == pytest.approx(1.0, abs=1e-8)
 
+    def test_bounds_bessel_only_lower_is_exactly_zero(self, tmp_path):
+        path = self._gen(tmp_path, "bessel-only", 22)
+        code, report = run_command(["bounds", str(path)])
+        assert code == 0
+        assert report.bounds["lower"] == 0.0 and report.bounds["upper"] > 0
+
 
 class TestDeterminism:
     def test_reports_byte_identical(self, tmp_path, capsys):

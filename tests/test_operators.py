@@ -25,8 +25,8 @@ from modframes import (
     random_vector,
     unflatten,
 )
-from modframes.operators import pencil_alpha_flat
-from conftest import make_rng, pencil_alpha_bisect, random_psd
+from modframes.operators import pencil_alpha_flat, pencil_max
+from conftest import cholesky_pencil_max, make_rng, pencil_alpha_bisect, random_psd
 
 
 class TestApply:
@@ -276,6 +276,51 @@ class TestPencil:
             assert np.linalg.eigvalsh(0.5 * (gap + np.conj(gap.T)))[0] >= -1e-9 * (
                 1 + np.linalg.norm(s, 2)
             )
+
+
+class TestPencilMax:
+    """pencil_max is the one pencil routine: alpha = 1 / lambda_max."""
+
+    def test_matches_cholesky_oracle(self):
+        rng = make_rng(12)
+        for _ in range(25):
+            n = int(rng.integers(1, 7))
+            p = random_psd(n, rng, rank=int(rng.integers(1, n + 1)))
+            s = random_psd(n, rng)
+            lam, x = pencil_max(p, s)
+            assert lam == pytest.approx(cholesky_pencil_max(p, s), rel=1e-9)
+            # the witness attains the value
+            ratio = (np.conj(x) @ p @ x).real / (np.conj(x) @ s @ x).real
+            assert ratio == pytest.approx(lam, rel=1e-9)
+            assert pencil_alpha_flat(p, s) * lam == pytest.approx(1.0, rel=1e-12)
+
+    def test_singular_s_reached_by_p_is_infinite(self):
+        rng = make_rng(13)
+        for _ in range(10):
+            n = int(rng.integers(2, 6))
+            s = random_psd(n, rng, rank=n - 1)
+            p = random_psd(n, rng)
+            lam, x = pencil_max(p, s)
+            assert math.isinf(lam)
+            assert np.linalg.norm(s @ x) <= 1e-12 * np.linalg.norm(s, 2)  # x spans ker s
+            assert (np.conj(x) @ p @ x).real > 0
+            assert pencil_alpha_flat(p, s) == 0.0
+
+    @pytest.mark.parametrize("s", [np.eye(4), np.zeros((4, 4))], ids=["s=I", "s=0"])
+    def test_zero_p(self, s):
+        lam, x = pencil_max(np.zeros((4, 4)), s)
+        assert lam == 0.0 and np.linalg.norm(x) == 1.0
+        assert math.isinf(pencil_alpha_flat(np.zeros((4, 4)), s))
+
+    def test_zero_family_zero_target(self):
+        fam = OperatorFamily([ModuleOperator.zero(2, 2, 1), ModuleOperator.zero(2, 2, 2)])
+        assert optimal_scalar_bounds(fam, ModuleOperator.zero(2, 2, 2)) == (math.inf, 0.0)
+
+    @pytest.mark.parametrize("seed", [2, 9, 22])
+    def test_bessel_only_lower_bound_is_exactly_zero(self, seed):
+        spec = generate_instance("bessel-only", 2, 2, 3, seed)
+        alpha, beta = optimal_scalar_bounds(OperatorFamily(spec.operators), spec.target_operator)
+        assert alpha == 0.0 and beta > 0
 
 
 class TestPositivityBridge:
