@@ -3,7 +3,9 @@
 A family {G_i} is a dual of {L_i} for the target K when K f = sum_i L_i* G_i f
 for every f.  In finite dimensions that holds for all f iff the assembled
 operators coincide, so verification compares sum_i flat(G_i) flat(L_i)^H
-against flat(K) exactly rather than by sampling.
+against flat(K) exactly rather than by sampling.  The canonical dual's
+S^{-1} and condition check and the dual's Bessel bound read the family's
+one cached ``OperatorFamily.spectrum``.
 """
 
 from __future__ import annotations
@@ -12,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra
 from .errors import NoInclusionError, ShapeMismatchError, SingularFrameOperatorError
-from .frames import OperatorFamily, analysis_operator, frame_operator, synthesis_operator
-from .operators import ModuleOperator, douglas_check, operator_norm
+from .frames import OperatorFamily, analysis_operator, synthesis_operator
+from .operators import ModuleOperator, compose, douglas_check, operator_norm
 
 
 @dataclass
@@ -48,6 +49,11 @@ def _check_pair_shapes(L: OperatorFamily, G: OperatorFamily, K: ModuleOperator) 
         raise ShapeMismatchError("target must be an endomorphism of the source module")
 
 
+def _member_blocks(flat: np.ndarray, F: OperatorFamily) -> list[np.ndarray]:
+    """Column blocks of a source x codomain matrix, one per member of F."""
+    return np.split(flat, np.cumsum([m.target_rank * F.dim for m in F.members])[:-1], axis=1)
+
+
 def reconstruction_operator(L: OperatorFamily, G: OperatorFamily) -> ModuleOperator:
     """The operator f -> sum_i L_i* G_i f."""
     flat = sum(g.flat @ np.conj(m.flat.T) for m, g in zip(L.members, G.members))
@@ -66,7 +72,7 @@ def verify_dual(
     _check_pair_shapes(L, G, K)
     residual = operator_norm(reconstruction_operator(L, G) - K)
     # Bessel (upper) bound of the dual: finite for every finite family.
-    bessel = float(np.sqrt(max(np.linalg.eigvalsh(frame_operator(G).flat)[-1].real, 0.0)))
+    bessel = float(np.sqrt(max(float(G.spectrum[0][-1]), 0.0)))
     return DualPair(
         primary_family=L,
         dual_family=G,
@@ -83,21 +89,18 @@ def canonical_dual(
     """The dual {L_i S^{-1} K} built from the inverse frame operator.
 
     Invertibility of S is checked numerically against the condition-number
-    cap; it is never assumed from surjectivity of K.  One ``eigh`` of the
-    Hermitian S gives both: cond(S) = w_max / w_min and S^{-1} = (V/w) V^H.
+    cap; it is never assumed from surjectivity of K.  The family's cached
+    ``spectrum`` gives both: cond(S) = w_max / w_min and S^{-1} = (V/w) V^H.
     """
-    w, v = np.linalg.eigh(algebra.hermitian_part(frame_operator(L).flat))
+    w, v = L.spectrum
     if w[0] <= 0 or w[-1] / w[0] > cond_cap:
         raise SingularFrameOperatorError(
             f"frame operator condition number exceeds cap ({cond_cap:.1e})"
         )
     s_inv = (v / w) @ np.conj(v.T)
     # Member action x -> L_i(S^{-1}(K x)) flattens to flat(K) S^{-1} flat(L_i).
-    prefix = K.flat @ s_inv
-    members = [
-        ModuleOperator(m.dim, m.source_rank, m.target_rank, prefix @ m.flat) for m in L.members
-    ]
-    return OperatorFamily(members)
+    prefix = ModuleOperator(K.dim, K.source_rank, K.target_rank, K.flat @ s_inv)
+    return OperatorFamily([compose(prefix, m) for m in L.members])
 
 
 def minimal_dual(
@@ -116,16 +119,10 @@ def minimal_dual(
     if not report.range_included:
         raise NoInclusionError("range(K) is not contained in range of the synthesis operator")
     eta_flat = K.flat @ np.linalg.pinv(theta_star.flat, rcond=rank_tol)
-    d = L.dim
-    members = []
-    offset = 0
-    for m in L.members:
-        w = m.target_rank * d
-        members.append(
-            ModuleOperator(d, L.source_rank, m.target_rank, eta_flat[:, offset : offset + w])
-        )
-        offset += w
-    return OperatorFamily(members)
+    blocks = _member_blocks(eta_flat, L)
+    return OperatorFamily(
+        [ModuleOperator(L.dim, L.source_rank, m.target_rank, b) for m, b in zip(L.members, blocks)]
+    )
 
 
 @dataclass
@@ -161,16 +158,9 @@ def preframe_consistency(P: DualPair, eta: ModuleOperator | None = None) -> Pref
         theta.target_rank,
     ):
         raise ShapeMismatchError("eta must map the source module into the family codomain")
-    target_dev = operator_norm(
-        ModuleOperator(K.dim, K.source_rank, K.target_rank, eta.flat @ np.conj(theta.flat.T))
-        - K
-    )
-    d = L.dim
-    devs = []
-    offset = 0
-    for g in G.members:
-        w = g.target_rank * d
-        block = eta.flat[:, offset : offset + w]
-        devs.append(float(np.linalg.norm(block - g.flat, 2)))
-        offset += w
+    target_dev = float(np.linalg.norm(eta.flat @ np.conj(theta.flat.T) - K.flat, 2))
+    devs = [
+        float(np.linalg.norm(block - g.flat, 2))
+        for g, block in zip(G.members, _member_blocks(eta.flat, G))
+    ]
     return PreframeReport(target_deviation=target_dev, member_deviations=devs)

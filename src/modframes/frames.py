@@ -47,13 +47,14 @@ from .operators import (
     douglas_check,
     op_adjoint,
     operator_norm,
-    pencil_alpha_flat,
+    pencil_max,
 )
 
 
 @dataclass
 class OperatorFamily:
-    """Finite indexed family of adjointable operators with a common source."""
+    """Finite indexed family of adjointable operators with a common source,
+    owning its frame operator: ``gram`` and ``spectrum`` are cached."""
 
     members: list[ModuleOperator]
 
@@ -82,6 +83,21 @@ class OperatorFamily:
 
     def codomain(self) -> ModuleSpace:
         return ModuleSpace.direct_sum_of(self.dim, self.target_ranks)
+
+    @property
+    def gram(self) -> np.ndarray:
+        """Flat frame operator (read-only), built once: members must not change."""
+        if "_gram" not in self.__dict__:
+            self._gram = frame_operator(self).flat
+            self._gram.flags.writeable = False
+        return self._gram
+
+    @property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(w, v)``, the ``eigh`` of ``gram``'s Hermitian part, computed once."""
+        if "_spectrum" not in self.__dict__:
+            self._spectrum = np.linalg.eigh(algebra.hermitian_part(self.gram))
+        return self._spectrum
 
 
 @dataclass
@@ -191,11 +207,6 @@ def frame_operator(F: OperatorFamily) -> ModuleOperator:
     return compose(t, op_adjoint(t))
 
 
-def _frame_gram(F: OperatorFamily) -> np.ndarray:
-    """Flat of the frame operator: sum_i flat(L_i) flat(L_i)^H."""
-    return frame_operator(F).flat
-
-
 def _target_gram(K: ModuleOperator) -> np.ndarray:
     """Flat of KK* (the composite x -> K(K* x)): flat(K)^H flat(K)."""
     return np.conj(K.flat.T) @ K.flat
@@ -217,15 +228,6 @@ def _scalar_modulus(el: np.ndarray) -> float | None:
     return float(abs(c)) if np.array_equal(el, c * np.eye(el.shape[0])) else None
 
 
-def _psd_side(mat: np.ndarray, d: int, n: int) -> tuple[float, np.ndarray, str]:
-    """Smallest eigenvalue of the side's PSD test and the witness X whose
-    first row is the conjugate eigenvector, so that X mat X* has it in (0, 0)."""
-    w, v = np.linalg.eigh(algebra.hermitian_part(mat))
-    flat = np.zeros((d, n * d), dtype=np.complex128)
-    flat[0, :] = np.conj(v[:, 0])
-    return float(w[0]), flat, "exact"
-
-
 def _candidate_vectors(d: int) -> np.ndarray:
     """Rows e_j and (e_i + e_j)/sqrt(2), i < j."""
     eye = np.eye(d, dtype=np.complex128)
@@ -233,7 +235,7 @@ def _candidate_vectors(d: int) -> np.ndarray:
     return np.vstack([eye, *pairs])
 
 
-def _structural_side(c1, p, c2, q) -> tuple[float, np.ndarray | None, str]:
+def _structural_side(c1, p, c2, q) -> tuple[float, ModuleVector | None, str]:
     """Margin of the side gap(X) = C1 X P X* C1* - C2 X Q X* C2* when one of
     C1, C2 is a bound element that is not a multiple of I.
 
@@ -245,8 +247,8 @@ def _structural_side(c1, p, c2, q) -> tuple[float, np.ndarray | None, str]:
     """
     if not np.any(q):
         return 0.0, None, "exact"
-    nd = p.shape[0]
-    vs = _candidate_vectors(c1.shape[0])
+    d, nd = c1.shape[0], p.shape[0]
+    vs = _candidate_vectors(d)
     basis, r = np.linalg.qr(np.stack([vs @ np.conj(c1), vs @ np.conj(c2)], axis=2))
     r1, r2 = r[:, :, 0], r[:, :, 1]
     h = np.einsum("ki,kj,ab->kiajb", np.conj(r1), r1, p) - np.einsum(
@@ -255,7 +257,7 @@ def _structural_side(c1, p, c2, q) -> tuple[float, np.ndarray | None, str]:
     w, z = np.linalg.eigh(h.reshape(len(vs), 2 * nd, 2 * nd))
     best = int(np.argmin(w[:, 0]))
     flat = basis[best] @ np.conj(z[best, :, 0].reshape(2, nd))
-    return float(w[best, 0]), flat, "upper_bound"
+    return float(w[best, 0]), ModuleVector(d, nd // d, flat), "upper_bound"
 
 
 def certify(
@@ -274,19 +276,22 @@ def certify(
     """
     cfg = cfg or CertConfig()
     _check_certify_shapes(F, K, bounds)
-    s_hat = _frame_gram(F)
+    s_hat = F.gram
     m_hat = _target_gram(K)
     d, n = F.dim, F.source_rank
     eye_d = np.eye(d, dtype=np.complex128)
     a_mod = _scalar_modulus(bounds.lower)
     b_mod = _scalar_modulus(bounds.upper)
 
+    # b^2 I - S_hat is smallest along the top eigenvector of the cached spectrum.
     if a_mod is not None:
-        lower = _psd_side(s_hat - a_mod**2 * m_hat, d, n)
+        w, v = np.linalg.eigh(algebra.hermitian_part(s_hat - a_mod**2 * m_hat))
+        lower = (float(w[0]), ModuleVector.rank_one(d, v[:, 0]), "exact")
     else:
         lower = _structural_side(eye_d, s_hat, bounds.lower, m_hat)
     if b_mod is not None:
-        upper = _psd_side(b_mod**2 * np.eye(n * d) - s_hat, d, n)
+        w, v = F.spectrum
+        upper = (b_mod**2 - float(w[-1]), ModuleVector.rank_one(d, v[:, -1]), "exact")
     else:
         upper = _structural_side(bounds.upper, np.eye(n * d), eye_d, s_hat)
 
@@ -295,8 +300,7 @@ def certify(
     witness = None
     if min(gap_lower, gap_upper) < -cfg.tol:
         verdict = "falsified"
-        flat = lower[1] if gap_lower <= gap_upper else upper[1]
-        witness = ModuleVector(d, n, flat)
+        witness = lower[1] if gap_lower <= gap_upper else upper[1]
     elif "upper_bound" in kinds:
         verdict = "inconclusive"
     else:
@@ -320,9 +324,8 @@ def gap_matrices(
     Used to re-validate falsification witnesses independently of the
     decision in ``certify``.
     """
-    s_hat = _frame_gram(F)
     m_hat = _target_gram(K)
-    xs = x.flat @ s_hat @ np.conj(x.flat.T)
+    xs = x.flat @ F.gram @ np.conj(x.flat.T)
     xm = x.flat @ m_hat @ np.conj(x.flat.T)
     xx = x.flat @ np.conj(x.flat.T)
     a, b = bounds.lower, bounds.upper
@@ -336,12 +339,12 @@ def optimal_scalar_bounds(F: OperatorFamily, K: ModuleOperator) -> tuple[float, 
 
     alpha^2 = 1 / pencil_max(flat(KK*), S_hat) with S_hat the flattened frame
     operator (inf when K vanishes, 0 when flat(KK*) reaches the kernel of
-    S_hat); beta^2 is the frame operator's norm.
+    S_hat); beta^2 is the frame operator's largest eigenvalue.  Both read
+    the family's cached ``spectrum``.
     """
-    s_hat = _frame_gram(F)
-    m_hat = _target_gram(K)
-    alpha = math.sqrt(pencil_alpha_flat(m_hat, s_hat))
-    beta = math.sqrt(max(float(np.linalg.eigvalsh(algebra.hermitian_part(s_hat))[-1]), 0.0))
+    lam = pencil_max(_target_gram(K), F.spectrum)[0]
+    alpha = math.inf if lam == 0.0 else math.sqrt(1.0 / lam)
+    beta = math.sqrt(max(float(F.spectrum[0][-1]), 0.0))
     return alpha, beta
 
 
@@ -371,12 +374,11 @@ def norm_bound_check(
     """
     if not samples:
         raise ValueError("norm_bound_check needs at least one sample")
-    s_hat = _frame_gram(F)
     k_adj = op_adjoint(K)
     worst_lo, worst_up = math.inf, math.inf
     idx_lo = idx_up = 0
     for i, f in enumerate(samples):
-        mid = float(np.linalg.norm(f.flat @ s_hat @ np.conj(f.flat.T), 2))
+        mid = float(np.linalg.norm(f.flat @ F.gram @ np.conj(f.flat.T), 2))
         left_vec = module_action(bounds.lower, apply(k_adj, f))
         left = norm(left_vec) ** 2
         right = norm(module_action(bounds.upper, f)) ** 2

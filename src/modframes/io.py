@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import algebra
 from .duals import canonical_dual
 from .errors import ModframesError
-from .frames import FrameBounds, OperatorFamily, frame_operator, optimal_scalar_bounds
+from .frames import FrameBounds, OperatorFamily, optimal_scalar_bounds
 from .module import ModuleVector
-from .operators import ModuleOperator, random_operator
+from .operators import ModuleOperator, compose, random_operator
 
 
 class SpecFormatError(ModframesError, ValueError):
@@ -46,6 +45,23 @@ def _decode_entry(value, path: str) -> complex:
             f"{path}: complex entry exceeds {MAX_ENTRY:g} in magnitude, got {value!r}"
         )
     return complex(value[0], value[1])
+
+
+def _as_int(value, path: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: int(1e400)
+        raise SpecFormatError(f"{path}: must be an integer, got {value!r}") from None
+
+
+def _as_tolerance(value, path: str) -> float:
+    """A tolerance is a finite positive JSON number: no bool, string or list."""
+    try:
+        if type(value) in (int, float) and 0 < float(value) < math.inf:
+            return float(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise SpecFormatError(f"{path}: must be a finite positive number, got {value!r}")
 
 
 def decode_matrix(data, dim: int, path: str) -> np.ndarray:
@@ -80,10 +96,7 @@ def encode_matrix(mat: np.ndarray) -> list:
 def decode_operator(data, dim: int, source_rank: int, path: str) -> ModuleOperator:
     if not isinstance(data, dict):
         raise SpecFormatError(f"{path}: expected an object with target_rank and blocks")
-    try:
-        target_rank = int(data["target_rank"])
-    except (KeyError, TypeError, ValueError):
-        raise SpecFormatError(f"{path}.target_rank: missing or not an integer") from None
+    target_rank = _as_int(data.get("target_rank"), f"{path}.target_rank")
     blocks = data.get("blocks")
     if not isinstance(blocks, list) or len(blocks) != source_rank:
         raise SpecFormatError(f"{path}.blocks: expected {source_rank} block rows")
@@ -193,11 +206,8 @@ class FrameSpecFile:
         for key in ("algebra_dim", "module_rank", "operators"):
             if key not in data:
                 raise SpecFormatError(f"{key}: required field missing")
-        try:
-            dim = int(data["algebra_dim"])
-            rank = int(data["module_rank"])
-        except (TypeError, ValueError):
-            raise SpecFormatError("algebra_dim/module_rank: must be integers") from None
+        dim = _as_int(data["algebra_dim"], "algebra_dim")
+        rank = _as_int(data["module_rank"], "module_rank")
         if dim < 1 or rank < 1:
             raise SpecFormatError("algebra_dim/module_rank: must be positive")
         ops_data = data["operators"]
@@ -221,12 +231,7 @@ class FrameSpecFile:
         bounds = None
         if data.get("bounds") is not None:
             bounds = decode_bounds(data["bounds"], dim)
-        seed = data.get("seed")
-        if seed is not None:
-            try:
-                seed = int(seed)
-            except (TypeError, ValueError):
-                raise SpecFormatError("seed: must be an integer") from None
+        seed = None if data.get("seed") is None else _as_int(data["seed"], "seed")
         tolerances = data.get("tolerances") or {}
         if not isinstance(tolerances, dict):
             raise SpecFormatError("tolerances: expected an object")
@@ -239,7 +244,7 @@ class FrameSpecFile:
             aux_operator=aux,
             bounds=bounds,
             seed=seed,
-            tolerances={str(k): float(v) for k, v in tolerances.items()},
+            tolerances={str(k): _as_tolerance(v, f"tolerances.{k}") for k, v in tolerances.items()},
         )
 
     def to_json(self) -> str:
@@ -307,13 +312,9 @@ def generate_instance(
     )
 
     if kind == "tight":
-        s_flat = frame_operator(family).flat
-        w, v = np.linalg.eigh(algebra.hermitian_part(s_flat))
-        inv_sqrt = (v / np.sqrt(w)[None, :]) @ np.conj(v.T)
-        spec.operators = [
-            ModuleOperator(m.dim, m.source_rank, m.target_rank, inv_sqrt @ m.flat)
-            for m in members
-        ]
+        w, v = family.spectrum
+        inv_sqrt = ModuleOperator(d, n, n, (v / np.sqrt(w)[None, :]) @ np.conj(v.T))
+        spec.operators = [compose(inv_sqrt, m) for m in members]
         spec.target_operator = eye
         spec.bounds = FrameBounds.scalar(1.0, 1.0, d)
     elif kind == "known-bounds":
@@ -324,10 +325,8 @@ def generate_instance(
     elif kind == "bessel-only":
         vec = rng.standard_normal(n * d) + 1j * rng.standard_normal(n * d)
         vec /= np.linalg.norm(vec)
-        proj = np.eye(n * d) - np.outer(vec, np.conj(vec))
-        dead = [
-            ModuleOperator(m.dim, m.source_rank, m.target_rank, proj @ m.flat) for m in members
-        ]
+        proj = ModuleOperator(d, n, n, np.eye(n * d) - np.outer(vec, np.conj(vec)))
+        dead = [compose(proj, m) for m in members]
         _, beta = optimal_scalar_bounds(OperatorFamily(dead), eye)
         spec.operators = dead
         spec.target_operator = eye

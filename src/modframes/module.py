@@ -71,6 +71,13 @@ class ModuleVector:
         return cls(dim=d, rank=len(blocks), flat=np.hstack(blocks))
 
     @classmethod
+    def rank_one(cls, dim: int, x: np.ndarray) -> "ModuleVector":
+        """First row conj(x), zeros below: X P X* = (x* P x) e_1 e_1* for any P."""
+        flat = np.zeros((dim, len(x)), dtype=np.complex128)
+        flat[0, :] = np.conj(x)
+        return cls(dim, len(x) // dim, flat)
+
+    @classmethod
     def zero(cls, dim: int, rank: int) -> "ModuleVector":
         return cls(dim=dim, rank=rank, flat=np.zeros((dim, rank * dim), dtype=np.complex128))
 

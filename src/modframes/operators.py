@@ -8,10 +8,10 @@ Every operation here (pseudoinverse, range-inclusion tests, the
 majorization/factorization equivalence, the pencil extremum) is therefore
 plain dense linear algebra on the flattened matrices.
 
-``pencil_max`` is the only pencil routine: the optimal lower frame bound
-(``pencil_alpha_flat``) and the perturbation constant both come from it,
-so both follow its one kernel rule, a split of s at ``KERNEL_RTOL``
-relative to its largest eigenvalue.
+``pencil_max`` is the only pencil routine, so the optimal lower frame bound
+and the perturbation constant share its kernel rule (``range_mask``).  It
+takes s as its ``eigh``, a frame operator's cached ``OperatorFamily.spectrum``;
+``pencil_alpha_flat`` is the entry for a raw matrix s.
 """
 
 from __future__ import annotations
@@ -246,11 +246,16 @@ def douglas_check(K: ModuleOperator, L: ModuleOperator, tol: float = DOUGLAS_TOL
 KERNEL_RTOL = 1e-12
 
 
-def pencil_max(p: np.ndarray, s: np.ndarray) -> tuple[float, np.ndarray]:
+def range_mask(w: np.ndarray) -> np.ndarray:
+    """The kernel rule on s's ascending eigenvalues w: True on s's range."""
+    return w > KERNEL_RTOL * max(float(w[-1]), 0.0)
+
+
+def pencil_max(p: np.ndarray, spectrum: tuple[np.ndarray, np.ndarray]) -> tuple[float, np.ndarray]:
     """lambda_max(p, s) = sup_x x* p x / x* s x for PSD p, s, with a maximiser x.
 
-    The one kernel rule: s splits along its kernel (eigenvalues below
-    ``KERNEL_RTOL`` times its largest).  When p reaches that kernel the
+    ``spectrum`` is ``(w, v) = eigh`` of s's Hermitian part.  The one kernel
+    rule: s splits along ``range_mask(w)``.  When p reaches the kernel the
     supremum is ``inf`` and x is the kernel direction where p is largest;
     otherwise it is the largest eigenvalue of p whitened on the range of s.
     A zero p gives 0 with x = e_1.
@@ -258,8 +263,8 @@ def pencil_max(p: np.ndarray, s: np.ndarray) -> tuple[float, np.ndarray]:
     p = algebra.hermitian_part(p)
     if not np.any(p):
         return 0.0, np.eye(len(p))[0]
-    w, v = np.linalg.eigh(algebra.hermitian_part(s))
-    keep = w > KERNEL_RTOL * max(float(w[-1]), 0.0)
+    w, v = spectrum
+    keep = range_mask(w)
     v0 = v[:, ~keep]
     p0 = np.conj(v0.T) @ p @ v0
     if float(np.trace(p0).real) > KERNEL_RTOL * float(np.trace(p).real):
@@ -273,10 +278,10 @@ def pencil_max(p: np.ndarray, s: np.ndarray) -> tuple[float, np.ndarray]:
 def pencil_alpha_flat(p: np.ndarray, s: np.ndarray) -> float:
     """Largest alpha >= 0 with alpha*p <= s in Loewner order, for PSD p, s.
 
-    This is 1 / ``pencil_max(p, s)``: ``inf`` when p is zero and 0 when p
-    reaches the kernel of s.
+    The raw-matrix entry: 1 / ``pencil_max`` on s's own ``eigh``, ``inf``
+    when p is zero and 0 when p reaches the kernel of s.
     """
-    lam = pencil_max(p, s)[0]
+    lam = pencil_max(p, np.linalg.eigh(algebra.hermitian_part(s)))[0]
     return math.inf if lam == 0.0 else 1.0 / lam
 
 

@@ -12,9 +12,10 @@ M is decided exactly: with D = sum_i flat(L_i - G_i) flat(L_i - G_i)^H and
 S the flattened frame operator, sup_X ||X D X*|| / ||X S X*|| is the pencil
 maximum lambda_max(D, S), attained at a rank-one X, so
 M = max(lambda_max(D, S_L), lambda_max(D, S_G)).  Both maxima come from
-``operators.pencil_max``, the pencil routine that also gives the optimal
-lower frame bound, so M follows its kernel rule: M is infinite when D
-reaches the kernel of either frame operator.
+``operators.pencil_max`` on each family's cached ``spectrum``, as the
+optimal lower frame bound does, so M follows its kernel rule: M is infinite
+when D reaches the kernel of either frame operator, and ``analysis_rank``
+counts the directions that rule keeps.
 """
 
 from __future__ import annotations
@@ -33,11 +34,10 @@ from .frames import (
     OperatorFamily,
     analysis_operator,
     certify,
-    frame_operator,
     optimal_scalar_bounds,
 )
 from .module import ModuleVector
-from .operators import ModuleOperator, douglas_check, pencil_max
+from .operators import ModuleOperator, douglas_check, pencil_max, range_mask
 
 
 @dataclass
@@ -48,7 +48,7 @@ class PerturbationReport:
     the rank-one ``witness``; ``derived`` certifies {G_i} against Lop at the
     bounds derived from (||A||, ||B||, M).  ``analysis_rank`` is the rank of
     the perturbed analysis operator, which the converse machinery needs to
-    have closed range (full rank here).
+    have closed range (full rank here; counted by the kernel rule of M).
     """
 
     M_estimate: float
@@ -69,13 +69,10 @@ def _difference_gram(L: OperatorFamily, G: OperatorFamily) -> np.ndarray:
 
 
 def _exact_constant(L: OperatorFamily, G: OperatorFamily) -> tuple[float, ModuleVector]:
-    """M and the rank-one witness X whose first row is the conjugate maximiser,
-    so that X D X* = (x* D x) e_1 e_1*."""
+    """M and the rank-one witness X of its maximiser: X D X* = (x* D x) e_1 e_1*."""
     d_hat = _difference_gram(L, G)
-    m, x = max((pencil_max(d_hat, frame_operator(F).flat) for F in (L, G)), key=lambda t: t[0])
-    flat = np.zeros((L.dim, len(x)), dtype=np.complex128)
-    flat[0, :] = np.conj(x)
-    return m, ModuleVector(L.dim, L.source_rank, flat)
+    m, x = max((pencil_max(d_hat, F.spectrum) for F in (L, G)), key=lambda t: t[0])
+    return m, ModuleVector.rank_one(L.dim, x)
 
 
 def perturbation_constant(L: OperatorFamily, G: OperatorFamily) -> float:
@@ -143,7 +140,7 @@ def perturbation_check(
     norm_b = algebra.opnorm(boundsL.upper)
     lo, up = perturbed_frame_bounds(norm_a, norm_b, m)
     derived = certify(G, Lop, FrameBounds.scalar(math.sqrt(lo), math.sqrt(up), L.dim), cfg)
-    rank = int(np.linalg.matrix_rank(analysis_operator(G).flat))
+    rank = int(np.sum(range_mask(G.spectrum[0])))
 
     converse = _converse_if_applicable(G, K, Lop, norm_a, norm_b, cfg)
     return PerturbationReport(

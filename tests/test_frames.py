@@ -23,6 +23,7 @@ from modframes import (
     flatten,
     frame_operator,
     gap_matrices,
+    generate_instance,
     inner_product,
     is_normalized,
     is_tight,
@@ -132,12 +133,22 @@ class TestCertify:
         fam = random_family(2, 3, 3, rng)
         k = ModuleOperator.identity(2, 3)
         alpha, beta = optimal_scalar_bounds(fam, k)
-        bad = FrameBounds.scalar(alpha * (1 - 1e-8), beta * 0.5, 2)
-        cert = certify(fam, k, bad)
-        assert cert.verdict == "falsified"
-        assert cert.witness is not None
-        _, g_up = gap_matrices(fam, k, bad, cert.witness)
-        assert np.linalg.eigvalsh(0.5 * (g_up + np.conj(g_up.T)))[0] < -1e-9
+        # A tight family has S_hat = I, so every eigenvalue of the spectrum the
+        # upper side reads is repeated; beta = 0.9 must still falsify.
+        tight = generate_instance("tight", 2, 3, 4, seed=1)
+        cases = [
+            (fam, k, FrameBounds.scalar(alpha * (1 - 1e-8), beta * 0.5, 2)),
+            (OperatorFamily(tight.operators), tight.target_operator, FrameBounds.scalar(1, 0.9, 2)),
+        ]
+        for fam, k, bad in cases:
+            cert = certify(fam, k, bad)
+            assert cert.verdict == "falsified"
+            assert cert.witness is not None
+            # the witness is the rank-one vector of the cached top eigenvector
+            assert np.array_equal(cert.witness.flat[0], np.conj(fam.spectrum[1][:, -1]))
+            assert not np.any(cert.witness.flat[1:])
+            _, g_up = gap_matrices(fam, k, bad, cert.witness)
+            assert np.linalg.eigvalsh(0.5 * (g_up + np.conj(g_up.T)))[0] < -1e-9
 
     def test_exact_and_sampled_agree(self):
         rng = make_rng(1)

@@ -138,6 +138,71 @@ class TestRoundTrip:
         assert "invalid JSON" in str(err.value)
 
 
+def _write_with_literal(tmp_path, data, keys, literal):
+    """Write ``data`` as JSON with the value at ``keys`` spelled as ``literal``."""
+    entry = data
+    for key in keys[:-1]:
+        entry = entry[key]
+    entry[keys[-1]] = "@PLACEHOLDER@"
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data).replace('"@PLACEHOLDER@"', literal))
+    return path
+
+
+class TestInputBoundary:
+    """Bad field values exit 3 (input error) naming the field, never 4 or 5."""
+
+    @pytest.mark.parametrize(
+        "keys, field",
+        [
+            (("algebra_dim",), "algebra_dim"),
+            (("module_rank",), "module_rank"),
+            (("operators", 0, "target_rank"), "operators[0].target_rank"),
+            (("seed",), "seed"),
+        ],
+        ids=["algebra_dim", "module_rank", "target_rank", "seed"],
+    )
+    def test_overflowing_integer_field(self, tmp_path, keys, field, capfd):
+        data = json.loads(generate_instance("known-bounds", 2, 2, 2, seed=1).to_json())
+        path = _write_with_literal(tmp_path, data, keys, "1e400")
+        with pytest.raises(SpecFormatError, match="integer") as err:
+            load_spec(path)
+        assert str(err.value).startswith(field)
+        code, report = run_command(["verify", str(path)])
+        assert code == 3 and report.error.startswith(f"SpecFormatError: {field}:")
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "key, literal",
+        [
+            ("rank_tol", "[1]"),
+            ("cond_cap", '"nan"'),
+            ("cond_cap", "-1"),
+            ("cond_cap", "true"),
+            ("tol", "0"),
+            ("cond_cap", "1e400"),
+            ("cond_cap", "1" + "0" * 400),
+        ],
+        ids=["list", "nan-string", "negative", "bool", "zero", "float-overflow", "int-overflow"],
+    )
+    def test_tolerance_must_be_finite_positive_number(self, tmp_path, key, literal, capfd):
+        data = json.loads(generate_instance("dual-pair", 2, 2, 3, seed=2).to_json())
+        path = _write_with_literal(tmp_path, data, ("tolerances", key), literal)
+        with pytest.raises(SpecFormatError, match="finite positive number"):
+            load_spec(path)
+        for method in ("canonical", "minimal"):
+            code, report = run_command(["dual", str(path), "--method", method])
+            assert code == 3 and report.error.startswith(f"SpecFormatError: tolerances.{key}:")
+        assert capfd.readouterr().err == ""
+
+    def test_integer_tolerance_accepted(self, tmp_path):
+        data = json.loads(generate_instance("dual-pair", 2, 2, 3, seed=2).to_json())
+        path = _write_with_literal(tmp_path, data, ("tolerances", "cond_cap"), "1000000000000")
+        spec = load_spec(path)
+        assert spec.tolerances["cond_cap"] == 1e12 and type(spec.tolerances["cond_cap"]) is float
+        assert run_command(["dual", str(path)])[0] == 0
+
+
 class TestGenerators:
     def test_tight_has_identity_frame_operator(self):
         spec = generate_instance("tight", 2, 2, 3, seed=7)
@@ -444,3 +509,59 @@ class TestDeterminism:
         run_command(argv)
         assert capsys.readouterr().out == first
         assert first.startswith("modframes verify")
+
+
+def _count_calls(monkeypatch, argv) -> dict:
+    """Run the CLI and count frame-operator builds and eigen-solves.
+
+    ``frame_operator`` is counted in every modframes module that binds it, so
+    a build through an imported name counts as well.
+    """
+    import sys
+
+    import modframes.frames
+
+    counts = {"gram": 0, "solves": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    original = modframes.frames.frame_operator
+    build = counted(original, "gram")
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "modframes" and getattr(mod, "frame_operator", None) is original:
+            monkeypatch.setattr(mod, "frame_operator", build)
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh, "solves"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh, "solves"))
+    code, _ = run_command([*argv, "--out", argv[1] + ".report"])
+    assert code == 0
+    return counts
+
+
+class TestOneSpectrumPerFamily:
+    """Each family's frame operator is built once and eigen-decomposed once
+    per CLI call, however many bounds, constants and checks read it."""
+
+    @pytest.mark.parametrize(
+        "sub, kind, file_bounds, grams, max_solves",
+        [
+            ("perturb", "perturbed-pair", True, 2, 9),
+            ("perturb", "perturbed-pair", False, 2, 10),
+            ("bounds", "known-bounds", True, 1, 2),
+            ("verify", "known-bounds", False, 1, 3),
+        ],
+        ids=["perturb", "perturb-no-file-bounds", "bounds", "verify-no-file-bounds"],
+    )
+    def test_counts(self, tmp_path, monkeypatch, sub, kind, file_bounds, grams, max_solves):
+        spec = generate_instance(kind, 2, 2, 3, seed=4)
+        if not file_bounds:
+            spec.bounds = None
+        path = tmp_path / "spec.json"
+        save_spec(spec, path)
+        counts = _count_calls(monkeypatch, [sub, str(path)])
+        assert counts["gram"] == grams
+        assert counts["solves"] <= max_solves

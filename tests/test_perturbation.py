@@ -9,6 +9,7 @@ from modframes import (
     ModuleOperator,
     OperatorFamily,
     ShapeMismatchError,
+    compose,
     converse_constant,
     frame_operator,
     optimal_scalar_bounds,
@@ -254,3 +255,50 @@ class TestPerturbationCheck:
             assert rep.derived.mode == "exact"
             assert rep.derived.min_gap_lower >= -1e-10
             assert rep.derived.min_gap_upper >= -1e-10
+
+
+class TestKernelRule:
+    """analysis_rank and M follow the one kernel rule of operators.pencil_max."""
+
+    def test_near_kernel_direction_is_dropped_everywhere(self):
+        from modframes.operators import pencil_max, range_mask
+
+        rng = make_rng(41)
+        d, n = 2, 2
+        nd = d * n
+        v = rng.standard_normal(nd) + 1j * rng.standard_normal(nd)
+        v /= np.linalg.norm(v)
+        # Shrinking v by 1e-8 leaves the frame operator an eigenvalue about
+        # 1e-16 of its largest along v: below KERNEL_RTOL, though the analysis
+        # operator's singular value there (about 1e-8 relative) is far above
+        # the roundoff rank cut of an SVD.
+        shrink = ModuleOperator(d, n, n, np.eye(nd) - (1 - 1e-8) * np.outer(v, v.conj()))
+        off_v = ModuleOperator(d, n, n, np.eye(nd) - np.outer(v, v.conj()))
+        near = OperatorFamily([compose(shrink, m) for m in random_family(d, n, 3, rng).members])
+        w, vecs = near.spectrum
+        assert w[0] < 1e-12 * w[-1]
+        keep = range_mask(w)
+        assert int(np.sum(keep)) == nd - 1
+        # pencil_max treats exactly the dropped direction as kernel
+        dropped = vecs[:, ~keep][:, 0]
+        assert pencil_max(np.outer(dropped, dropped.conj()), near.spectrum)[0] == np.inf
+        for kept in vecs[:, keep].T:
+            assert np.isfinite(pencil_max(np.outer(kept, kept.conj()), near.spectrum)[0])
+
+        # A perturbation orthogonal to v keeps M finite, and the perturbed
+        # family's analysis_rank is the number of directions kept as range.
+        primary = OperatorFamily(
+            [m + compose(off_v, random_operator(d, n, m.target_rank, rng, scale=1e-3))
+             for m in near.members]
+        )
+        alpha, beta = optimal_scalar_bounds(primary, off_v)
+        bounds = FrameBounds.scalar(alpha * (1 - 1e-8), beta * (1 + 1e-8), d)
+        rep = perturbation_check(primary, near, off_v, off_v, bounds)
+        assert np.isfinite(rep.M_estimate)
+        assert rep.analysis_rank == int(np.sum(keep)) == nd - 1
+
+        # A perturbation that reaches v makes M infinite.
+        reach = _perturbed(near, rng, scale=1e-3)
+        assert perturbation_constant(near, reach) == np.inf
+        with pytest.raises(HypothesisFailedError, match="infinite"):
+            perturbation_check(primary, reach, off_v, off_v, bounds)
