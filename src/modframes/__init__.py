@@ -81,6 +81,14 @@ from .perturbation import (
     perturbation_constant,
     perturbed_frame_bounds,
 )
-from .tensor import TensorSpace, kron_family, kron_operator, kron_vector, nfold_tensor_dual, tensor_dual_check
+from .tensor import (
+    TensorDual,
+    TensorSpace,
+    kron_family,
+    kron_operator,
+    kron_vector,
+    nfold_tensor_dual,
+    tensor_dual_check,
+)
 
 __version__ = "0.1.0"

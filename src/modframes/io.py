@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,20 +49,22 @@ def _decode_entry(value, path: str) -> complex:
 
 
 def _as_int(value, path: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: int(1e400)
-        raise SpecFormatError(f"{path}: must be an integer, got {value!r}") from None
+    """An integer field is a JSON integer: no bool, string or float (2.0 too)."""
+    if type(value) is not int:
+        raise SpecFormatError(f"{path}: must be an integer, got {value!r}")
+    return value
 
 
-def _as_tolerance(value, path: str) -> float:
-    """A tolerance is a finite positive JSON number: no bool, string or list."""
+def _as_positive(value, path: str, cap: float = sys.float_info.max) -> float:
+    """A positive JSON number at most ``cap``: no bool, string, list or NaN."""
     try:
-        if type(value) in (int, float) and 0 < float(value) < math.inf:
+        if type(value) in (int, float) and 0 < float(value) <= cap:
             return float(value)
     except OverflowError:  # an integer beyond the float range
         pass
-    raise SpecFormatError(f"{path}: must be a finite positive number, got {value!r}")
+    raise SpecFormatError(
+        f"{path}: must be a finite positive number at most {cap:g}, got {value!r}"
+    )
 
 
 def decode_matrix(data, dim: int, path: str) -> np.ndarray:
@@ -152,14 +155,10 @@ def decode_bounds(data, dim: int, path: str = "bounds") -> FrameBounds:
     if not isinstance(data, dict) or data.get("mode") not in ("scalar", "algebra"):
         raise SpecFormatError(f"{path}.mode: must be 'scalar' or 'algebra'")
     if data["mode"] == "scalar":
-        try:
-            bounds = FrameBounds.scalar(float(data["lower"]), float(data["upper"]), dim)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecFormatError(f"{path}: bad scalar bounds ({exc})") from None
-        for name, value in (("lower", bounds.alpha), ("upper", bounds.beta)):
-            if value > MAX_ENTRY:
-                raise SpecFormatError(f"{path}.{name}: exceeds {MAX_ENTRY:g}, got {value!r}")
-        return bounds
+        lower, upper = (
+            _as_positive(data.get(k), f"{path}.{k}", MAX_ENTRY) for k in ("lower", "upper")
+        )
+        return FrameBounds.scalar(lower, upper, dim)
     lower = decode_matrix(data.get("lower"), dim, f"{path}.lower")
     upper = decode_matrix(data.get("upper"), dim, f"{path}.upper")
     return FrameBounds(lower=lower, upper=upper, mode="algebra")
@@ -216,11 +215,15 @@ class FrameSpecFile:
         operators = [
             decode_operator(o, dim, rank, f"operators[{i}]") for i, o in enumerate(ops_data)
         ]
-        second = None
-        if data.get("second_operators") is not None:
+        second = data.get("second_operators")
+        if second is not None:
+            if not isinstance(second, list):
+                raise SpecFormatError(
+                    f"second_operators: expected a list, got {type(second).__name__}"
+                )
             second = [
                 decode_operator(o, dim, rank, f"second_operators[{i}]")
-                for i, o in enumerate(data["second_operators"])
+                for i, o in enumerate(second)
             ]
         target = None
         if data.get("target_operator") is not None:
@@ -244,7 +247,7 @@ class FrameSpecFile:
             aux_operator=aux,
             bounds=bounds,
             seed=seed,
-            tolerances={str(k): _as_tolerance(v, f"tolerances.{k}") for k, v in tolerances.items()},
+            tolerances={str(k): _as_positive(v, f"tolerances.{k}") for k, v in tolerances.items()},
         )
 
     def to_json(self) -> str:

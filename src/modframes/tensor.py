@@ -6,20 +6,25 @@ matrix Kronecker product x_i (x) y_j, ordered lexicographically with the
 first factor outermost.  Flattened, everything is an index permutation of
 ordinary Kronecker products: columns regroup from (block1, col1, block2,
 col2) to (block1, block2, col1, col2), and operator rows likewise.
+
+``kron_family`` and ``tensor_dual_check`` build the product members, and
+serve as the materialized form.  ``nfold_tensor_dual`` never does: the
+permutations cancel in every quantity the duality check needs, so it
+decides the n-fold product from the factors' reconstruction operators.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .duals import DualPair, verify_dual
+from .duals import DualPair, reconstruction_operator, verify_dual
 from .errors import HypothesisFailedError
 from .frames import OperatorFamily
 from .module import ModuleVector
-from .operators import ModuleOperator
+from .operators import ModuleOperator, operator_norm
 
 
 @dataclass(frozen=True)
@@ -94,10 +99,62 @@ def tensor_dual_check(LP: DualPair, GP: DualPair, tol: float = 1e-10) -> DualPai
     return verify_dual(primary, dual, target, tol)
 
 
-def nfold_tensor_dual(pairs: list[DualPair], tol: float = 1e-10) -> DualPair:
-    """Left-associated fold of tensor_dual_check over a list of pairs."""
+@dataclass(frozen=True)
+class TensorDual:
+    """The n-fold tensor product of dual pairs, decided from its factors.
+
+    ``factors`` are the pairs, first factor outermost.  The other fields
+    are what ``verify_dual`` reports for the product families
+    {L_1 (x) ... (x) L_m} and {G_1 (x) ... (x) G_m}, which are never built
+    (``kron_family`` builds them).
+    """
+
+    factors: tuple[DualPair, ...]
+    reconstruction_residual: float
+    verified: bool
+    dual_bessel_bound: float
+
+
+def nfold_tensor_dual(pairs: list[DualPair], tol: float = 1e-10) -> DualPair | TensorDual:
+    """Left fold of ``tensor_dual_check`` over ``pairs``, decided from the factors.
+
+    Flattened, a product member is P (A_1 (x) ... (x) A_m) Q for permutation
+    matrices P, fixed by the source modules, and Q, fixed by the member's
+    target ranks.  Q cancels in every term of the reconstruction, so the
+    product reconstruction minus the product target is
+    P ((x)R_i - (x)K_i) P^T with R_i = ``reconstruction_operator`` of pair i.
+    The residual is the exact 2-norm of that one dense (prod n_i d_i)-square
+    matrix, ||(x)K_i|| is prod ||K_i||, and the product frame operator is
+    P ((x)S_i) P^T, so the dual Bessel bound is the product of the factors'.
+
+    As in the fold, an unverified factor or an unverified left partial
+    product of 2..m-1 pairs raises ``HypothesisFailedError``; only the full
+    product can come back unverified.  One pair is returned as it is.
+    """
     if not pairs:
         raise ValueError("nfold_tensor_dual needs at least one pair")
     if len(pairs) == 1:
         return pairs[0]
-    return reduce(lambda acc, p: tensor_dual_check(acc, p, tol), pairs[1:], pairs[0])
+    bad = next((i for i, p in enumerate(pairs) if not p.verified), None)
+    if bad is not None:
+        raise HypothesisFailedError(f"pair {bad} is not a verified dual pair")
+    rec = tgt = np.ones((1, 1), dtype=np.complex128)
+    k_norm = 1.0
+    for k, p in enumerate(pairs, 1):
+        rec = np.kron(rec, reconstruction_operator(p.primary_family, p.dual_family).flat)
+        tgt = np.kron(tgt, p.target.flat)
+        k_norm *= operator_norm(p.target)
+        if k == 1:
+            continue
+        residual = float(np.linalg.norm(rec - tgt, 2))
+        verified = residual <= tol * max(1.0, k_norm)
+        if not verified and k < len(pairs):
+            raise HypothesisFailedError(
+                f"the product of pairs 0..{k - 1} is not a verified dual pair"
+            )
+    return TensorDual(
+        factors=tuple(pairs),
+        reconstruction_residual=residual,
+        verified=verified,
+        dual_bessel_bound=math.prod(p.dual_bessel_bound for p in pairs),
+    )

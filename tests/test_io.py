@@ -18,7 +18,7 @@ from modframes import (
     save_spec,
 )
 from modframes.cli import run_command
-from modframes.io import FrameSpecFile, decode_vector, encode_vector
+from modframes.io import GENERATOR_KINDS, FrameSpecFile, decode_vector, encode_vector
 from conftest import make_rng, near_scalar_spec
 
 
@@ -46,6 +46,13 @@ class TestRoundTrip:
         path2 = tmp_path / "again.json"
         save_spec(back, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_generated_specs_load_byte_identically(self, tmp_path, kind):
+        spec = generate_instance(kind, 2, 3, 4, seed=6)
+        path = tmp_path / f"{kind}.json"
+        save_spec(spec, path)
+        assert load_spec(path).to_json() == path.read_text()
 
     def test_vector_round_trip(self, rng):
         from modframes import random_vector
@@ -149,6 +156,39 @@ def _write_with_literal(tmp_path, data, keys, literal):
     return path
 
 
+_KNOWN_BOUNDS = generate_instance("known-bounds", 2, 2, 2, seed=1)
+_KB = _KNOWN_BOUNDS.to_dict()
+# Each literal spells the field's own value, or one that int() or float()
+# would turn into a number, in a JSON type the schema does not allow.
+_NOT_JSON_NUMBERS = [
+    pytest.param(keys, field, literal, id=f"{field}-{kind}")
+    for keys, field, value in (
+        (("algebra_dim",), "algebra_dim", _KB["algebra_dim"]),
+        (("module_rank",), "module_rank", _KB["module_rank"]),
+        (
+            ("operators", 0, "target_rank"),
+            "operators[0].target_rank",
+            _KB["operators"][0]["target_rank"],
+        ),
+        (("seed",), "seed", _KB["seed"]),
+    )
+    for literal, kind in (
+        (f"{value}.0", "integral-float"),
+        (f"{value}.5", "fraction"),
+        ("true", "bool"),
+        (f'"{value}"', "string"),
+    )
+] + [
+    pytest.param(("bounds", side), f"bounds.{side}", literal, id=f"bounds.{side}-{kind}")
+    for side in ("lower", "upper")
+    for literal, kind in (
+        ("true", "bool"),
+        (f'"{_KB["bounds"][side]!r}"', "string"),
+        ("null", "null"),
+    )
+]
+
+
 class TestInputBoundary:
     """Bad field values exit 3 (input error) naming the field, never 4 or 5."""
 
@@ -201,6 +241,27 @@ class TestInputBoundary:
         spec = load_spec(path)
         assert spec.tolerances["cond_cap"] == 1e12 and type(spec.tolerances["cond_cap"]) is float
         assert run_command(["dual", str(path)])[0] == 0
+
+    @pytest.mark.parametrize("keys, field, literal", _NOT_JSON_NUMBERS)
+    def test_number_field_rejects_other_json_types(self, tmp_path, keys, field, literal, capfd):
+        data = json.loads(_KNOWN_BOUNDS.to_json())
+        path = _write_with_literal(tmp_path, data, keys, literal)
+        with pytest.raises(SpecFormatError) as err:
+            load_spec(path)
+        assert str(err.value).startswith(f"{field}:")
+        code, report = run_command(["verify", str(path)])
+        assert code == 3 and report.error.startswith(f"SpecFormatError: {field}:")
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("sub", ["verify", "perturb", "tensor"])
+    def test_second_operators_must_be_a_list(self, tmp_path, sub, capfd):
+        data = json.loads(generate_instance("dual-pair", 2, 2, 3, seed=2).to_json())
+        path = _write_with_literal(tmp_path, data, ("second_operators",), "5")
+        with pytest.raises(SpecFormatError, match="^second_operators: expected a list"):
+            load_spec(path)
+        code, report = run_command([sub, str(path)])
+        assert code == 3 and report.error.startswith("SpecFormatError: second_operators:")
+        assert capfd.readouterr().err == ""
 
 
 class TestGenerators:

@@ -1,7 +1,12 @@
 """Kronecker structure and tensor-product duality."""
 
+import tracemalloc
+from functools import reduce
+
 import numpy as np
 import pytest
+
+import modframes.tensor as tensor_mod
 
 from modframes import (
     HypothesisFailedError,
@@ -17,11 +22,15 @@ from modframes import (
     kron_vector,
     nfold_tensor_dual,
     op_adjoint,
+    operator_norm,
     random_operator,
     random_vector,
     tensor_dual_check,
     verify_dual,
 )
+from modframes.cli import run_command
+from modframes.duals import reconstruction_operator
+from modframes.io import generate_instance, save_spec
 from conftest import make_rng, random_family
 
 
@@ -199,3 +208,159 @@ class TestTensorDuality:
         assert left.reconstruction_residual == pytest.approx(
             right.reconstruction_residual, abs=1e-10
         )
+
+
+def _canonical_pair(d, n, count, rng):
+    fam = random_family(d, n, count, rng)
+    k = random_operator(d, n, n, rng)
+    return verify_dual(fam, canonical_dual(fam, k), k)
+
+
+def _materialized(pairs, tol=1e-10):
+    """The oracle: the left fold of tensor_dual_check over the built families."""
+    return reduce(lambda acc, p: tensor_dual_check(acc, p, tol), pairs[1:], pairs[0])
+
+
+class TestFactoredNfold:
+    """nfold_tensor_dual decides the product from its factors alone; the
+    materialized fold of tensor_dual_check is the oracle."""
+
+    # (d, n, count) per factor: mixed algebra dims, ranks and member counts;
+    # random_family draws mixed target ranks.
+    SHAPES = {
+        2: [(2, 2, 3), (1, 3, 4)],
+        3: [(1, 2, 2), (2, 1, 3), (3, 1, 2)],
+        4: [(1, 2, 2), (2, 1, 3), (1, 3, 2), (2, 2, 2)],
+    }
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_matches_materialized_fold(self, m):
+        # Duals off by a generic 1e-3 perturbation, so the residual is far
+        # above roundoff; tol = 0.1 keeps every factor and partial verified.
+        rng = make_rng(300 + m)
+        pairs = []
+        for d, n, c in self.SHAPES[m]:
+            p = _canonical_pair(d, n, c, rng)
+            dual = OperatorFamily([
+                g + random_operator(d, n, g.target_rank, rng, scale=1e-3)
+                for g in p.dual_family.members
+            ])
+            pairs.append(verify_dual(p.primary_family, dual, p.target, 0.1))
+        got = nfold_tensor_dual(pairs, 0.1)
+        want = _materialized(pairs, 0.1)
+        scale = np.prod([
+            max(operator_norm(reconstruction_operator(p.primary_family, p.dual_family)),
+                operator_norm(p.target))
+            for p in pairs
+        ])
+        assert got.verified and want.verified
+        assert abs(got.reconstruction_residual - want.reconstruction_residual) <= 1e-12 * scale
+        duals = reduce(kron_family, [p.dual_family for p in pairs])
+        bessel = np.sqrt(duals.spectrum[0][-1])
+        assert got.dual_bessel_bound == pytest.approx(bessel, rel=1e-12)
+        assert got.factors == tuple(pairs)
+
+    def test_verified_is_relative_to_product_target_norm(self):
+        rng = make_rng(302)
+        pairs = [_canonical_pair(2, 2, 3, rng), _canonical_pair(1, 3, 4, rng)]
+        residual = nfold_tensor_dual(pairs).reconstruction_residual
+        k_norm = operator_norm(kron_operator(pairs[0].target, pairs[1].target))
+        assert k_norm > 1.0
+        edge = residual / k_norm
+        assert nfold_tensor_dual(pairs, edge * (1 + 1e-6)).verified
+        assert not nfold_tensor_dual(pairs, edge * (1 - 1e-6)).verified
+
+    def test_unverified_factor_raises(self, rng):
+        good = _canonical_pair(2, 2, 3, rng)
+        fam = random_family(2, 2, 3, rng)
+        k = random_operator(2, 2, 2, rng)
+        bad = verify_dual(fam, OperatorFamily([m * 2.0 for m in canonical_dual(fam, k).members]), k)
+        assert not bad.verified
+        for pairs in ([good, bad], [bad, good], [good, good, bad]):
+            with pytest.raises(HypothesisFailedError, match="is not a verified dual pair"):
+                _materialized(pairs)
+            with pytest.raises(HypothesisFailedError, match=f"pair {pairs.index(bad)} is not"):
+                nfold_tensor_dual(pairs)
+
+    def _inside_tolerance(self, m, tol):
+        """m verified pairs whose duals are scaled by 1 + 0.9 tol, so each
+        factor residual is 0.9 of its tolerance tol ||K||: the product of two
+        is off by about 1.8 tol ||K1|| ||K2||, past its own tolerance."""
+        rng = make_rng(400)
+        pairs = []
+        for _ in range(m):
+            p = _canonical_pair(2, 2, 3, rng)
+            assert operator_norm(p.target) >= 1.0  # tolerances scale with ||K||
+            dual = OperatorFamily([g * (1.0 + 0.9 * tol) for g in p.dual_family.members])
+            pairs.append(verify_dual(p.primary_family, dual, p.target, tol))
+        assert all(p.verified for p in pairs)
+        return pairs
+
+    def test_unverified_final_product_is_reported(self):
+        pairs = self._inside_tolerance(2, 1e-9)
+        assert not _materialized(pairs, 1e-9).verified
+        assert not nfold_tensor_dual(pairs, 1e-9).verified
+
+    def test_unverified_partial_product_raises(self):
+        pairs = self._inside_tolerance(3, 1e-9)
+        with pytest.raises(HypothesisFailedError):
+            _materialized(pairs, 1e-9)
+        with pytest.raises(HypothesisFailedError, match="product of pairs 0..1"):
+            nfold_tensor_dual(pairs, 1e-9)
+
+    @pytest.mark.parametrize("m, code", [(2, 1), (3, 4)])
+    def test_cli_exit_codes_inside_tolerance(self, tmp_path, m, code):
+        paths = []
+        for i, p in enumerate(self._inside_tolerance(m, 1e-9)):
+            spec = generate_instance("dual-pair", 2, 2, 3, seed=0)
+            spec.operators = p.primary_family.members
+            spec.second_operators = p.dual_family.members
+            spec.target_operator = p.target
+            paths.append(tmp_path / f"pair{i}.json")
+            save_spec(spec, paths[-1])
+        got, report = run_command(["tensor", *map(str, paths), "--tol", "1e-9"])
+        assert got == code
+        if code == 1:  # every factor verified; the product is not
+            assert report.verdicts == {"verified": False, "factors": 2}
+        else:
+            assert report.error.startswith("HypothesisFailedError:")
+
+    def test_builds_no_product_member(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            original = getattr(tensor_mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("kron_operator", "kron_family", "tensor_dual_check"):
+            monkeypatch.setattr(tensor_mod, name, counted(name))
+        rng = make_rng(500)
+        out = nfold_tensor_dual([_canonical_pair(2, 2, 3, rng) for _ in range(4)])
+        assert out.verified and calls == []
+
+    def test_four_factor_peak_memory(self):
+        rng = make_rng(501)
+        pairs = [_canonical_pair(2, 2, 3, rng) for _ in range(4)]
+        tracemalloc.start()
+        try:
+            out = nfold_tensor_dual(pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.verified
+        assert peak < 10 * 2**20  # materialized: about 199 MB
+
+    def test_five_factor_cli(self, tmp_path):
+        paths = []
+        for seed in range(5):
+            paths.append(str(tmp_path / f"dp{seed}.json"))
+            save_spec(generate_instance("dual-pair", 1, 2, 3, seed), paths[-1])
+        code, report = run_command(["tensor", *paths])
+        assert code == 0
+        assert report.verdicts == {"verified": True, "factors": 5}
+        assert report.residuals["tensor_residual"] <= 1e-10
