@@ -29,7 +29,6 @@ from .errors import (
     ToleranceConflictError,
 )
 from .frames import (
-    CertConfig,
     FrameBounds,
     FrameCertificate,
     NormBoundReport,

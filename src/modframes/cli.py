@@ -2,8 +2,10 @@
 
 Subcommands: gen, verify, bounds, dual, perturb, tensor, douglas.  Every
 run produces a RunReport (JSON or text) that is byte-deterministic for a
-fixed argv, input files, and seed; wall-clock timing is only recorded when
+fixed argv and input files; wall-clock timing is only recorded when
 --timing is passed, precisely because it would break that determinism.
+Every decision is exact, so only ``gen`` takes a seed (``--seed``, default
+0); the report's ``seed`` is that seed for ``gen`` and null otherwise.
 
 Exit codes:
     0  verified / certified, or informational success
@@ -26,16 +28,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 import traceback
 from dataclasses import dataclass, field
 
 from . import io as spec_io
-from .duals import canonical_dual, minimal_dual, preframe_consistency, verify_dual
+from .duals import canonical_dual, minimal_dual, verify_dual
 from .errors import HypothesisError, ToleranceConflictError
-from .frames import CertConfig, FrameBounds, OperatorFamily, certify, optimal_scalar_bounds
+from .frames import FrameBounds, OperatorFamily, certify, optimal_scalar_bounds
 from .operators import ModuleOperator, douglas_check
 from .perturbation import perturbation_check
 from .tensor import nfold_tensor_dual
@@ -46,8 +47,6 @@ EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
 EXIT_HYPOTHESIS = 4
 EXIT_INTERNAL = 5
-
-SEED_ENV = "MODFRAMES_SEED"
 
 
 @dataclass
@@ -98,17 +97,6 @@ def _num(x: float) -> float | str:
     return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
 
 
-def _resolve_seed(args, spec: spec_io.FrameSpecFile | None) -> int:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    if spec is not None and spec.seed is not None:
-        return int(spec.seed)
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        return int(env)
-    return 0
-
-
 def _family(spec: spec_io.FrameSpecFile) -> OperatorFamily:
     return OperatorFamily(spec.operators)
 
@@ -132,7 +120,6 @@ def _bounds_or_optimal(
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=1e-9, help="certification tolerance")
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed (overrides file/env)")
     # Accepted and ignored, since every decision is exact; existing scripts
     # (the benchmark's algebra-bounds workload among them) still pass them.
     parser.add_argument("--samples", type=int, default=None, help=argparse.SUPPRESS)
@@ -157,6 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--rank", type=int, default=2, help="module rank n")
     p_gen.add_argument("--count", type=int, default=3, help="family member count")
     p_gen.add_argument("--spec-out", required=True, help="instance file to write")
+    p_gen.add_argument("--seed", type=int, default=0, help="generator seed")
     _add_common(p_gen)
 
     for name, helptext in (
@@ -179,10 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args, report: RunReport) -> int:
-    seed = _resolve_seed(args, None)
-    spec = spec_io.generate_instance(args.kind, args.dim, args.rank, args.count, seed)
+    spec = spec_io.generate_instance(args.kind, args.dim, args.rank, args.count, args.seed)
     spec_io.save_spec(spec, args.spec_out)
-    report.seed = seed
+    report.seed = args.seed
     report.verdicts = {"generated": True, "kind": args.kind}
     report.bounds = spec_io.encode_bounds(spec.bounds) if spec.bounds else None
     report.residuals = {"members": len(spec.operators)}
@@ -194,9 +181,8 @@ def _cmd_verify(args, report: RunReport) -> int:
     family = _family(spec)
     target = _target(spec)
     bounds, bounds_source = _bounds_or_optimal(spec, family, target)
-    cert = certify(family, target, bounds, CertConfig(tol=args.tol))
+    cert = certify(family, target, bounds, args.tol)
 
-    report.seed = _resolve_seed(args, spec)
     report.bounds = spec_io.encode_bounds(bounds)
     report.verdicts = {
         "certificate": cert.verdict,
@@ -221,7 +207,6 @@ def _cmd_bounds(args, report: RunReport) -> int:
     family = _family(spec)
     target = _target(spec)
     alpha, beta = optimal_scalar_bounds(family, target)
-    report.seed = _resolve_seed(args, spec)
     report.bounds = {"mode": "scalar", "lower": _num(alpha), "upper": _num(beta)}
     report.verdicts = {"computed": True}
     return EXIT_OK
@@ -231,21 +216,14 @@ def _cmd_dual(args, report: RunReport) -> int:
     spec = spec_io.load_spec(args.spec)
     family = _family(spec)
     target = _target(spec)
-    tols = spec.tolerances
     if args.method == "canonical":
-        dual = canonical_dual(family, target, cond_cap=tols.get("cond_cap", 1e12))
+        dual = canonical_dual(family, target, cond_cap=spec.tolerances.get("cond_cap", 1e12))
     else:
-        dual = minimal_dual(family, target, rank_tol=tols.get("rank_tol", 1e-12))
+        dual = minimal_dual(family, target, rank_tol=spec.tolerances.get("rank_tol", 1e-12))
     pair = verify_dual(family, dual, target, tol=args.tol)
-    pre = preframe_consistency(pair)
-    report.seed = _resolve_seed(args, spec)
     report.verdicts = {"verified": pair.verified, "method": args.method}
     report.residuals = {
         "reconstruction": _num(pair.reconstruction_residual),
-        "preframe_target_deviation": _num(pre.target_deviation),
-        "preframe_max_member_deviation": _num(
-            max(pre.member_deviations) if pre.member_deviations else 0.0
-        ),
         "dual_bessel_bound": _num(pair.dual_bessel_bound),
     }
     report.witnesses["dual_family"] = [spec_io.encode_operator(m) for m in dual.members]
@@ -261,9 +239,8 @@ def _cmd_perturb(args, report: RunReport) -> int:
     target = _target(spec)
     aux = spec.aux_operator if spec.aux_operator is not None else target
     bounds, bounds_source = _bounds_or_optimal(spec, family, target)
-    rep = perturbation_check(family, perturbed, target, aux, bounds, CertConfig(tol=args.tol))
+    rep = perturbation_check(family, perturbed, target, aux, bounds, args.tol)
     ok = rep.derived.verdict == "certified"
-    report.seed = _resolve_seed(args, spec)
     report.bounds = {
         "input": spec_io.encode_bounds(bounds),
         "bounds_source": bounds_source,
@@ -299,7 +276,6 @@ def _cmd_tensor(args, report: RunReport) -> int:
         )
         factors.append(_num(pair.reconstruction_residual))
         pairs.append(pair)
-    report.seed = _resolve_seed(args, None)
     report.residuals = {"factor_residuals": factors}
     if not all(p.verified for p in pairs):
         # a failing factor is a falsification, not a hypothesis error
@@ -323,7 +299,6 @@ def _cmd_douglas(args, report: RunReport) -> int:
         )
     k, l = spec.operators[0], spec.operators[1]
     rep = douglas_check(k, l, tol=max(args.tol, 1e-10))
-    report.seed = _resolve_seed(args, spec)
     report.verdicts = {"range_included": rep.range_included}
     report.residuals = {
         "lambda_min": None if rep.lambda_min is None else _num(rep.lambda_min),

@@ -5,7 +5,7 @@ for every f.  In finite dimensions that holds for all f iff the assembled
 operators coincide, so verification compares sum_i flat(G_i) flat(L_i)^H
 against flat(K) exactly rather than by sampling.  The canonical dual's
 S^{-1} and condition check and the dual's Bessel bound read the family's
-one cached ``OperatorFamily.spectrum``.
+one cached ``OperatorFamily.spectrum``; the Bessel bound only when asked for.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ class DualPair:
     ``reconstruction_residual`` is the flattened operator norm of
     sum_i L_i* G_i - K; the pair is ``verified`` when it is at most
     ``tol * max(1, ||K||)`` for the ``tol`` of ``verify_dual``.
-    ``dual_bessel_bound`` is the optimal upper (Bessel) scalar of the dual
-    family, always finite here.
     """
 
     primary_family: OperatorFamily
@@ -35,7 +33,11 @@ class DualPair:
     target: ModuleOperator
     reconstruction_residual: float
     verified: bool
-    dual_bessel_bound: float
+
+    @property
+    def dual_bessel_bound(self) -> float:
+        """Optimal upper (Bessel) scalar of the dual family (finite), read on access."""
+        return float(np.sqrt(max(float(self.dual_family.spectrum[0][-1]), 0.0)))
 
 
 def _check_pair_shapes(L: OperatorFamily, G: OperatorFamily, K: ModuleOperator) -> None:
@@ -71,15 +73,12 @@ def verify_dual(
     """
     _check_pair_shapes(L, G, K)
     residual = operator_norm(reconstruction_operator(L, G) - K)
-    # Bessel (upper) bound of the dual: finite for every finite family.
-    bessel = float(np.sqrt(max(float(G.spectrum[0][-1]), 0.0)))
     return DualPair(
         primary_family=L,
         dual_family=G,
         target=K,
         reconstruction_residual=residual,
         verified=residual <= tol * max(1.0, operator_norm(K)),
-        dual_bessel_bound=bessel,
     )
 
 

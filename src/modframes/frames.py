@@ -165,13 +165,6 @@ def is_normalized(bounds: FrameBounds, tol: float = 1e-12) -> bool:
 
 
 @dataclass
-class CertConfig:
-    """Certification tolerance: a margin below ``-tol`` falsifies its side."""
-
-    tol: float = 1e-9
-
-
-@dataclass
 class FrameCertificate:
     """Outcome of ``certify``.
 
@@ -264,17 +257,16 @@ def certify(
     F: OperatorFamily,
     K: ModuleOperator,
     bounds: FrameBounds,
-    cfg: CertConfig | None = None,
+    tol: float = 1e-9,
 ) -> FrameCertificate:
     """Decide the two-sided frame inequality for (F, K, bounds).
 
     Each side is the exact PSD test when its bound element is c*I, and the
     structural rule otherwise (see the module docstring).  The verdict is
-    ``falsified`` when a margin is below -tol (the witness comes from the
+    ``falsified`` when a margin is below ``-tol`` (the witness comes from the
     lower of the two sides), ``inconclusive`` when a structural side with a
     nonzero Gram matrix stays within tolerance, and ``certified`` otherwise.
     """
-    cfg = cfg or CertConfig()
     _check_certify_shapes(F, K, bounds)
     s_hat = F.gram
     m_hat = _target_gram(K)
@@ -298,7 +290,7 @@ def certify(
     gap_lower, gap_upper = lower[0], upper[0]
     kinds = (lower[2], upper[2])
     witness = None
-    if min(gap_lower, gap_upper) < -cfg.tol:
+    if min(gap_lower, gap_upper) < -tol:
         verdict = "falsified"
         witness = lower[1] if gap_lower <= gap_upper else upper[1]
     elif "upper_bound" in kinds:
@@ -460,7 +452,7 @@ def range_transfer_check(
     K: ModuleOperator,
     L: ModuleOperator,
     bounds: FrameBounds,
-    cfg: CertConfig | None = None,
+    tol: float = 1e-9,
 ) -> FrameCertificate:
     """Re-certify a K-frame as an L-frame when range(L) is inside range(K).
 
@@ -468,7 +460,7 @@ def range_transfer_check(
     lower bound: A <K*f, K*f> A* >= (A/lambda) <L*f, L*f> (A/lambda)*, so the
     family is certified against L with lower bound A/lambda.  A vanishing
     lambda (L = 0) makes the lower inequality vacuous and the original bound
-    is kept.
+    is kept.  ``tol`` is passed to ``certify``.
     """
     report = douglas_check(L, K)
     if not report.range_included:
@@ -479,4 +471,4 @@ def range_transfer_check(
     else:
         new_lower = bounds.lower.copy()
     new_bounds = FrameBounds(lower=new_lower, upper=bounds.upper.copy(), mode=bounds.mode)
-    return certify(F, L, new_bounds, cfg)
+    return certify(F, L, new_bounds, tol)

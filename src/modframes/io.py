@@ -132,11 +132,12 @@ def encode_vector(x: ModuleVector) -> dict:
 
 
 def decode_vector(data, path: str = "vector") -> ModuleVector:
-    try:
-        dim = int(data["dim"])
-        blocks = data["blocks"]
-    except (KeyError, TypeError, ValueError):
-        raise SpecFormatError(f"{path}: needs dim and blocks") from None
+    if not isinstance(data, dict) or "dim" not in data or "blocks" not in data:
+        raise SpecFormatError(f"{path}: needs dim and blocks")
+    dim = _as_int(data["dim"], f"{path}.dim")
+    blocks = data["blocks"]
+    if dim < 1 or not isinstance(blocks, list) or not blocks:
+        raise SpecFormatError(f"{path}: needs a positive dim and a non-empty list of blocks")
     mats = [decode_matrix(b, dim, f"{path}.blocks[{i}]") for i, b in enumerate(blocks)]
     return ModuleVector.from_blocks(mats)
 
@@ -225,19 +226,30 @@ class FrameSpecFile:
                 decode_operator(o, dim, rank, f"second_operators[{i}]")
                 for i, o in enumerate(second)
             ]
-        target = None
-        if data.get("target_operator") is not None:
-            target = decode_operator(data["target_operator"], dim, rank, "target_operator")
-        aux = None
-        if data.get("aux_operator") is not None:
-            aux = decode_operator(data["aux_operator"], dim, rank, "aux_operator")
+        target, aux = (
+            None if data.get(key) is None else decode_operator(data[key], dim, rank, key)
+            for key in ("target_operator", "aux_operator")
+        )
+        for key, op in (("target_operator", target), ("aux_operator", aux)):
+            if op is not None and op.target_rank != rank:  # K and aux map A^n to A^n
+                raise SpecFormatError(
+                    f"{key}.target_rank: must equal module_rank {rank}, got {op.target_rank}"
+                )
         bounds = None
         if data.get("bounds") is not None:
             bounds = decode_bounds(data["bounds"], dim)
+        # The seed records how ``gen`` made the file; no decision reads it.
         seed = None if data.get("seed") is None else _as_int(data["seed"], "seed")
-        tolerances = data.get("tolerances") or {}
+        tolerances = {} if data.get("tolerances") is None else data["tolerances"]
         if not isinstance(tolerances, dict):
-            raise SpecFormatError("tolerances: expected an object")
+            raise SpecFormatError(f"tolerances: expected an object, got {tolerances!r}")
+        tolerances = {k: _as_positive(v, f"tolerances.{k}") for k, v in tolerances.items()}
+        unknown = sorted(tolerances.keys() - _DEFAULT_TOLERANCES.keys())
+        if unknown:
+            raise SpecFormatError(
+                f"tolerances.{unknown[0]}: unknown key; a spec sets only cond_cap and "
+                "rank_tol, and the certification tolerance is the --tol flag"
+            )
         return cls(
             algebra_dim=dim,
             module_rank=rank,
@@ -247,7 +259,7 @@ class FrameSpecFile:
             aux_operator=aux,
             bounds=bounds,
             seed=seed,
-            tolerances={str(k): _as_positive(v, f"tolerances.{k}") for k, v in tolerances.items()},
+            tolerances=tolerances,
         )
 
     def to_json(self) -> str:
@@ -270,7 +282,8 @@ def load_spec(path) -> FrameSpecFile:
 
 GENERATOR_KINDS = ("tight", "known-bounds", "bessel-only", "perturbed-pair", "dual-pair")
 
-_DEFAULT_TOLERANCES = {"tol": 1e-9, "cond_cap": 1e12, "rank_tol": 1e-12}
+# The tolerances a spec may set, both read by ``dual``; --tol is not one of them.
+_DEFAULT_TOLERANCES = {"cond_cap": 1e12, "rank_tol": 1e-12}
 
 
 def _random_family(

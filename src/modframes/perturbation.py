@@ -28,7 +28,6 @@ import numpy as np
 from . import algebra
 from .errors import HypothesisFailedError, ShapeMismatchError
 from .frames import (
-    CertConfig,
     FrameBounds,
     FrameCertificate,
     OperatorFamily,
@@ -109,7 +108,7 @@ def perturbation_check(
     K: ModuleOperator,
     Lop: ModuleOperator,
     boundsL: FrameBounds,
-    cfg: CertConfig | None = None,
+    tol: float = 1e-9,
 ) -> PerturbationReport:
     """Full perturbation pipeline.
 
@@ -117,10 +116,10 @@ def perturbation_check(
     (K, boundsL), and range(Lop) must be contained in range(K) with K of
     closed range (automatic here).  M is then computed exactly (a finite M
     is a hypothesis too), the transferred bounds follow from it, and {G_i}
-    is certified against Lop at those bounds.
+    is certified against Lop at those bounds.  ``tol`` is ``certify``'s, for
+    both certificates, and 1e3 * ``tol`` bounds ||K K* - I|| for the converse.
     """
-    cfg = cfg or CertConfig()
-    cert = certify(L, K, boundsL, cfg)
+    cert = certify(L, K, boundsL, tol)
     if cert.verdict == "falsified":
         raise HypothesisFailedError(
             "primary family falsified against (K, bounds)", witness=cert.witness
@@ -139,10 +138,10 @@ def perturbation_check(
     norm_a = algebra.opnorm(boundsL.lower)
     norm_b = algebra.opnorm(boundsL.upper)
     lo, up = perturbed_frame_bounds(norm_a, norm_b, m)
-    derived = certify(G, Lop, FrameBounds.scalar(math.sqrt(lo), math.sqrt(up), L.dim), cfg)
+    derived = certify(G, Lop, FrameBounds.scalar(math.sqrt(lo), math.sqrt(up), L.dim), tol)
     rank = int(np.sum(range_mask(G.spectrum[0])))
 
-    converse = _converse_if_applicable(G, K, Lop, norm_a, norm_b, cfg)
+    converse = _converse_if_applicable(G, K, Lop, norm_a, norm_b, tol)
     return PerturbationReport(
         M_estimate=m,
         M_kind="exact",
@@ -161,13 +160,13 @@ def _converse_if_applicable(
     Lop: ModuleOperator,
     norm_a: float,
     norm_b: float,
-    cfg: CertConfig,
+    tol: float = 1e-9,
 ) -> float | None:
     """Converse constant when its hypotheses hold: K a co-isometry and
     range(K) inside range(Lop); (C, D) are taken as the optimal scalar
     bounds of {G_i} against Lop."""
     eye = np.eye(K.source_rank * K.dim)
-    if float(np.linalg.norm(np.conj(K.flat.T) @ K.flat - eye, 2)) > cfg.tol * 1e3:
+    if float(np.linalg.norm(np.conj(K.flat.T) @ K.flat - eye, 2)) > tol * 1e3:
         return None
     rev = douglas_check(K, Lop)
     if not rev.range_included:

@@ -112,7 +112,11 @@ class TensorDual:
     factors: tuple[DualPair, ...]
     reconstruction_residual: float
     verified: bool
-    dual_bessel_bound: float
+
+    @property
+    def dual_bessel_bound(self) -> float:
+        """The product of the factors' bounds, each read on access."""
+        return math.prod(p.dual_bessel_bound for p in self.factors)
 
 
 def nfold_tensor_dual(pairs: list[DualPair], tol: float = 1e-10) -> DualPair | TensorDual:
@@ -156,5 +160,4 @@ def nfold_tensor_dual(pairs: list[DualPair], tol: float = 1e-10) -> DualPair | T
         factors=tuple(pairs),
         reconstruction_residual=residual,
         verified=verified,
-        dual_bessel_bound=math.prod(p.dual_bessel_bound for p in pairs),
     )

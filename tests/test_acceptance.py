@@ -14,7 +14,6 @@ import numpy as np
 import scipy.linalg
 
 from modframes import (
-    CertConfig,
     FrameBounds,
     ModuleOperator,
     ModuleVector,
@@ -153,7 +152,7 @@ def _c04_bounds(case, d, alpha, beta, rng):
 def test_c04_certification_soundness():
     with criterion(4, "decisions agree with a descent oracle on 48 instances; witnesses re-validate"):
         rng = make_rng(104)
-        tol = CertConfig().tol
+        tol = 1e-9  # certify's default
         for i in range(48):
             case = i % 8
             d = int(rng.integers(2 if case >= 5 else 1, 4))
@@ -369,7 +368,7 @@ def test_c11_cli_contract(tmp_path, capsys):
 def test_c12_structural_rule(tmp_path):
     with criterion(12, "bounds that are not multiples of I follow the structural rule"):
         rng = make_rng(112)
-        tol = CertConfig().tol
+        tol = 1e-9  # certify's default
         for _ in range(10):
             d = int(rng.integers(2, 4))
             n = int(rng.integers(1, 4))

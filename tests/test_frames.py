@@ -7,7 +7,6 @@ import pytest
 import scipy.linalg
 
 from modframes import (
-    CertConfig,
     FrameBounds,
     ModuleOperator,
     ModuleVector,
@@ -226,7 +225,7 @@ class TestCertify:
         alpha, beta = optimal_scalar_bounds(fam, k)
         bounds = FrameBounds(lower=alpha * np.array([[1.0, 0.05], [0.0, 1.0]]), upper=beta * np.eye(2))
         c1 = certify(fam, k, bounds)
-        c2 = certify(fam, k, bounds, CertConfig())
+        c2 = certify(fam, k, bounds, tol=1e-9)
         assert c1.verdict == c2.verdict == "falsified"
         assert c1.min_gap_lower == c2.min_gap_lower
         assert c1.min_gap_upper == c2.min_gap_upper

@@ -61,6 +61,20 @@ class TestRoundTrip:
         back = decode_vector(encode_vector(x))
         assert np.allclose(back.flat, x.flat)
 
+    @pytest.mark.parametrize(
+        "change",
+        [{"dim": "2"}, {"dim": 2.7}, {"dim": 2.0}, {"dim": True}, {"dim": 0}, {"blocks": 5},
+         {"blocks": []}, {"blocks": None}],
+        ids=["dim-string", "dim-fraction", "dim-float", "dim-bool", "dim-zero", "blocks-int",
+             "blocks-empty", "blocks-null"],
+    )
+    def test_decode_vector_rejects_malformed(self, rng, change):
+        from modframes import random_vector
+
+        data = {**encode_vector(random_vector(2, 3, rng)), **change}
+        with pytest.raises(SpecFormatError, match="^vector"):
+            decode_vector(data)
+
     def test_corrupted_entry_arity_names_field(self, tmp_path):
         spec = generate_instance("tight", 2, 2, 2, seed=1)
         data = json.loads(spec.to_json())
@@ -235,6 +249,51 @@ class TestInputBoundary:
             assert code == 3 and report.error.startswith(f"SpecFormatError: tolerances.{key}:")
         assert capfd.readouterr().err == ""
 
+    @pytest.mark.parametrize(
+        "key, literal", [("tol", "1e-09"), ("cond", "1000000000000.0"), ("seed", "3")]
+    )
+    def test_tolerances_hold_only_cond_cap_and_rank_tol(self, tmp_path, key, literal, capfd):
+        data = json.loads(generate_instance("dual-pair", 2, 2, 3, seed=2).to_json())
+        path = _write_with_literal(tmp_path, data, ("tolerances", key), literal)
+        with pytest.raises(SpecFormatError, match="--tol") as err:
+            load_spec(path)
+        assert str(err.value).startswith(f"tolerances.{key}: unknown key")
+        for sub, *extra in (["dual", "--method", "canonical"], ["dual", "--method", "minimal"],
+                            ["verify"]):
+            code, report = run_command([sub, str(path), *extra])
+            assert code == 3 and report.error.startswith(f"SpecFormatError: tolerances.{key}:")
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "kind, key, subs",
+        [
+            ("known-bounds", "target_operator", ("bounds", "verify", "dual")),
+            ("perturbed-pair", "aux_operator", ("perturb",)),
+        ],
+    )
+    def test_target_and_aux_must_be_endomorphisms(self, tmp_path, kind, key, subs, capfd):
+        from modframes import random_operator
+
+        spec = generate_instance(kind, 2, 2, 3, seed=3)
+        spec.bounds = None  # no file bounds: verify computes the optimal ones
+        setattr(spec, key, random_operator(2, 2, 3, make_rng(3)))
+        path = tmp_path / "wide.json"
+        save_spec(spec, path)
+        with pytest.raises(SpecFormatError, match=f"^{key}.target_rank: must equal module_rank"):
+            load_spec(path)
+        for sub in subs:
+            code, report = run_command([sub, str(path)])
+            assert code == 3 and report.error.startswith(f"SpecFormatError: {key}.target_rank:")
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("literal", ["false", "0", "[]", '""', "[1]"])
+    def test_tolerances_must_be_an_object(self, tmp_path, literal, capfd):
+        data = json.loads(generate_instance("dual-pair", 2, 2, 3, seed=2).to_json())
+        path = _write_with_literal(tmp_path, data, ("tolerances",), literal)
+        code, report = run_command(["dual", str(path)])
+        assert code == 3 and report.error.startswith("SpecFormatError: tolerances: expected")
+        assert capfd.readouterr().err == ""
+
     def test_integer_tolerance_accepted(self, tmp_path):
         data = json.loads(generate_instance("dual-pair", 2, 2, 3, seed=2).to_json())
         path = _write_with_literal(tmp_path, data, ("tolerances", "cond_cap"), "1000000000000")
@@ -306,6 +365,11 @@ class TestGenerators:
         a = generate_instance("known-bounds", 2, 3, 4, seed=123)
         b = generate_instance("known-bounds", 2, 3, 4, seed=123)
         assert a.to_json() == b.to_json()
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_generated_tolerances_are_the_read_ones(self, kind):
+        spec = generate_instance(kind, 2, 2, 3, seed=12)
+        assert spec.tolerances == {"cond_cap": 1e12, "rank_tol": 1e-12}
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -406,6 +470,7 @@ class TestCliContract:
             code, report = run_command(["dual", str(path), "--method", method])
             assert code == 0
             assert report.residuals["reconstruction"] <= 1e-10
+            assert set(report.residuals) == {"reconstruction", "dual_bessel_bound"}
 
     def test_perturb_command(self, tmp_path):
         path = self._gen(tmp_path, "perturbed-pair", 25)
@@ -538,22 +603,35 @@ class TestDeterminism:
         rep = json.loads(capsys.readouterr().out)
         assert rep["timing_s"] > 0
 
-    def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
-        spec = FrameSpecFile(
-            algebra_dim=1, module_rank=2, operators=[ModuleOperator.identity(1, 2)]
-        )
-        path = tmp_path / "noseed.json"
-        save_spec(spec, path)
-        monkeypatch.setenv("MODFRAMES_SEED", "777")
-        _, report = run_command(["bounds", str(path)])
-        assert report.seed == 777
-        monkeypatch.delenv("MODFRAMES_SEED")
-        _, report = run_command(["bounds", str(path)])
-        assert report.seed == 0
-        # an explicit flag wins over the environment
-        monkeypatch.setenv("MODFRAMES_SEED", "777")
-        _, report = run_command(["bounds", str(path), "--seed", "5"])
-        assert report.seed == 5
+    def test_seed_is_gen_only(self, tmp_path, capsys, monkeypatch):
+        """Only gen reads a seed: its flag, default 0.  The environment changes
+        nothing, --seed on another subcommand is an input error, and other
+        reports carry seed null."""
+        spec_path = tmp_path / "dp.json"
+        gen = ["gen", "--kind", "dual-pair", "--dim", "2", "--rank", "2", "--count", "3",
+               "--spec-out", str(spec_path)]
+        outputs = []
+        for env in (None, "777"):
+            if env is None:
+                monkeypatch.delenv("MODFRAMES_SEED", raising=False)
+            else:
+                monkeypatch.setenv("MODFRAMES_SEED", env)
+            code, report = run_command([*gen, "--seed", "35"])
+            assert code == 0 and report.seed == 35
+            outputs.append((capsys.readouterr().out, spec_path.read_bytes()))
+        assert outputs[0] == outputs[1]
+        code, report = run_command(gen)
+        capsys.readouterr()
+        assert code == 0 and report.seed == 0 and load_spec(spec_path).seed == 0
+
+        spec = str(spec_path)
+        for argv in (["verify", spec], ["bounds", spec], ["dual", spec], ["perturb", spec],
+                     ["tensor", spec, spec], ["douglas", spec]):
+            code, report = run_command([*argv, "--seed", "5"])
+            assert code == 3 and report.subcommand == "parse-error"
+            capsys.readouterr()
+            code, _ = run_command(argv)
+            assert code != 3 and json.loads(capsys.readouterr().out)["seed"] is None
 
     def test_text_format_stable(self, tmp_path, capsys):
         spec_path = tmp_path / "t3.json"
@@ -626,3 +704,14 @@ class TestOneSpectrumPerFamily:
         counts = _count_calls(monkeypatch, [sub, str(path)])
         assert counts["gram"] == grams
         assert counts["solves"] <= max_solves
+
+    @pytest.mark.parametrize("factors", [2, 3, 4])
+    def test_tensor_builds_no_gram(self, tmp_path, monkeypatch, factors):
+        """tensor decides from the factors' reconstruction operators; the dual
+        Bessel bounds it does not report are never computed."""
+        paths = []
+        for seed in range(factors):
+            path = tmp_path / f"dp{seed}.json"
+            save_spec(generate_instance("dual-pair", 2, 2, 3, seed=seed), path)
+            paths.append(str(path))
+        assert _count_calls(monkeypatch, ["tensor", *paths]) == {"gram": 0, "solves": 0}
