@@ -6,6 +6,9 @@ fixed argv and input files; wall-clock timing is only recorded when
 --timing is passed, precisely because it would break that determinism.
 Every decision is exact, so only ``gen`` takes a seed (``--seed``, default
 0); the report's ``seed`` is that seed for ``gen`` and null otherwise.
+A JSON report is ``io.dumps`` of the report: the bytes json.dumps(sort_keys=True,
+indent=2) writes.  The parser is built once per process; a rejected command
+line exits 3 with argparse's message in ``error`` and its usage on stderr.
 
 Exit codes:
     0  verified / certified, or informational success
@@ -78,7 +81,7 @@ class RunReport:
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
-            return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+            return spec_io.dumps(self.to_dict()) + "\n"
         lines = [f"modframes {self.subcommand}"]
         d = self.to_dict()
         for key in sorted(d):
@@ -131,8 +134,19 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class ArgumentParseError(Exception):
+    """A command line argparse rejects; the message is argparse's."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # raise, not exit, so one parser outlives a bad call
+        self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        raise ArgumentParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="modframes",
         description="Certify operator-family frame inequalities over matrix algebras.",
     )
@@ -298,6 +312,11 @@ def _cmd_douglas(args, report: RunReport) -> int:
             "operators: douglas needs two operators (K first, L second)"
         )
     k, l = spec.operators[0], spec.operators[1]
+    if l.target_rank != k.target_rank:
+        raise spec_io.SpecFormatError(
+            f"operators[1].target_rank: douglas needs K and L on one target, but L maps to "
+            f"rank {l.target_rank} and K (operators[0]) to rank {k.target_rank}"
+        )
     rep = douglas_check(k, l, tol=max(args.tol, 1e-10))
     report.verdicts = {"range_included": rep.range_included}
     report.residuals = {
@@ -320,12 +339,20 @@ _COMMANDS = {
 }
 
 
+_parser: argparse.ArgumentParser | None = None  # parse_args leaves it unchanged
+
+
 def run_command(argv: list[str]) -> tuple[int, RunReport]:
     """Parse and execute; returns (exit_code, report) and never raises."""
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = _parser.parse_args(argv)
+    except ArgumentParseError as exc:
+        report = RunReport(list(argv), "parse-error", error=f"argument parsing failed: {exc}")
+        return EXIT_INPUT, report
+    except SystemExit as exc:  # --help
         report = RunReport(command=list(argv), subcommand="parse-error")
         report.error = f"argument parsing failed (argparse status {exc.code})"
         return (EXIT_OK if exc.code == 0 else EXIT_INPUT), report

@@ -87,10 +87,6 @@ class ModuleVector:
         return self.flat[:, i * self.dim : (i + 1) * self.dim].copy()
 
     @property
-    def blocks(self) -> list[np.ndarray]:
-        return [self.block(i) for i in range(self.rank)]
-
-    @property
     def space(self) -> ModuleSpace:
         return ModuleSpace(dim=self.dim, rank=self.rank)
 

@@ -1,0 +1,322 @@
+"""The CLI shell around the decisions: one parser per process, one array per
+operator, and the report renderer that writes json's ``indent=2`` text."""
+
+import copy
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from modframes import cli, generate_instance, save_spec
+from modframes import io as spec_io
+from modframes.cli import run_command
+from modframes.io import GENERATOR_KINDS, FrameSpecFile, dumps
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _reference(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+# -- io.dumps ----------------------------------------------------------------
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 1.5e300, float("inf"),
+     float("-inf"), float("nan")]
+)
+_STRINGS = st.text(max_size=6) | st.sampled_from(
+    ['', '"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "é", "☃", "𝄞", "a b", "</script>"]
+)
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | _FLOATS
+    | _STRINGS
+    # the shapes the renderer joins in one go: float rows and rows of float rows
+    | st.lists(_FLOATS, max_size=3)
+    | st.lists(st.lists(_FLOATS, max_size=3), max_size=3)
+)
+_JSON = st.recursive(
+    _LEAVES,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_STRINGS, children, max_size=4),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_JSON)
+def test_dumps_matches_json_indent_two(value):
+    assert dumps(value) == _reference(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        (1.0, [2.0, (3.0,)]),  # tuples are lists to json
+        [[1.0, 2.0], [], [3.0]],
+        [[1.0, 2.0], {}],
+        [[1.0, 2.0], ""],
+        [[1.0, 2.0], "ab"],
+        [[1.0, 2.0], 0.0],
+        [[1.0, 2.0], {2.5: 1.0}],
+        [[1.0, 2.0], [3.0, 4]],
+        [[1.0, float("nan")], [2.0, 3.0]],
+        {"k": [[-0.0, float("-inf")]]},
+    ],
+    ids=["tuples", "empty-row", "empty-dict-row", "empty-string-row", "string-row", "float-row", "float-key-row",
+         "int-in-row", "nan-in-row", "neg-inf-in-row"],
+)
+def test_dumps_float_row_edge_cases(value):
+    assert dumps(value) == _reference(value)
+
+
+@pytest.mark.parametrize(
+    "value", [{1: 2.0, 3: [4.0]}, {2.5: "x", True: None}], ids=["int-keys", "other-keys"]
+)
+def test_dumps_hands_non_str_keys_to_json(value):
+    assert dumps(value) == _reference(value)
+
+
+def test_dumps_raises_as_json_does():
+    circular = []
+    circular.append(circular)
+    for bad, exc in (({"a": 1, 2: 3}, TypeError), ({"a": object()}, TypeError),
+                     (circular, ValueError)):
+        with pytest.raises(exc) as ours:
+            dumps(bad)
+        with pytest.raises(exc) as theirs:
+            _reference(bad)
+        assert str(ours.value) == str(theirs.value)
+
+
+@pytest.mark.parametrize("argv", [["dual"], ["perturb"], ["verify"]])
+def test_report_files_are_json_indent_two(tmp_path, argv):
+    spec = generate_instance("perturbed-pair", 2, 2, 3, seed=2)
+    spec.bounds = None  # verify then decides optimal bounds
+    path = tmp_path / "pp.json"
+    save_spec(spec, path)
+    out = tmp_path / "report.json"
+    code, _ = run_command([*argv, str(path), "--out", str(out)])
+    assert code == 0
+    text = out.read_text(encoding="utf-8")
+    assert text == _reference(json.loads(text)) + "\n"
+
+
+# -- one array per operator --------------------------------------------------
+
+def _per_entry_flat(op_data: dict, dim: int, rank: int) -> np.ndarray:
+    """Independent per-entry decode: complex(re, im) per entry, np.block per operator."""
+    blocks = [
+        [np.array([[complex(re, im) for re, im in row] for row in block], dtype=np.complex128)
+         for block in brow]
+        for brow in op_data["blocks"]
+    ]
+    flat = np.block(blocks)
+    assert flat.shape == (rank * dim, op_data["target_rank"] * dim)
+    return flat
+
+
+def _all_operators(data: dict):
+    for key in ("operators", "second_operators"):
+        for i, op in enumerate(data.get(key) or []):
+            yield f"{key}[{i}]", op
+    for key in ("target_operator", "aux_operator"):
+        if data.get(key) is not None:
+            yield key, data[key]
+
+
+def _decoded(spec: FrameSpecFile) -> dict:
+    out = {f"operators[{i}]": op for i, op in enumerate(spec.operators)}
+    out.update({f"second_operators[{i}]": op for i, op in enumerate(spec.second_operators or [])})
+    out.update({k: getattr(spec, k) for k in ("target_operator", "aux_operator")
+                if getattr(spec, k) is not None})
+    return out
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+@pytest.mark.parametrize("d, n, count", [(1, 2, 3), (2, 3, 4), (4, 2, 3)])
+def test_one_array_decode_is_bitwise_per_entry(kind, d, n, count, monkeypatch):
+    data = generate_instance(kind, d, n, count, seed=7).to_dict()
+    # signed zeros and JSON integers must come through as the per-entry path reads them
+    first = data["operators"][0]["blocks"][0][0]
+    first[0][0] = [-0.0, -0.0]
+    if d > 1:
+        first[0][1] = [3, -2]
+    fast = _decoded(FrameSpecFile.from_dict(copy.deepcopy(data)))
+    monkeypatch.setattr(spec_io, "_complex_array", lambda data, shape: None)
+    walked = _decoded(FrameSpecFile.from_dict(copy.deepcopy(data)))
+    ops = dict(_all_operators(data))
+    assert fast.keys() == walked.keys() == ops.keys()
+    for name, op in fast.items():
+        oracle = _per_entry_flat(ops[name], d, n)
+        assert op.flat.tobytes() == oracle.tobytes() == walked[name].flat.tobytes(), name
+    corner = fast["operators[0]"].flat[0, 0]
+    assert np.signbit(corner.real) and np.signbit(corner.imag)
+
+
+def _set(path_keys, value):
+    def mutate(data):
+        entry = data
+        for key in path_keys[:-1]:
+            entry = entry[key]
+        entry[path_keys[-1]] = value
+    return mutate
+
+
+def _pop(path_keys):
+    def mutate(data):
+        entry = data
+        for key in path_keys:
+            entry = entry[key]
+        entry.pop()
+    return mutate
+
+
+# Each malformed operator names the field path the per-entry decoder names.
+# "bool" replaces a whole [re, im] entry; a bool inside a pair is still read
+# as 1.0 or 0.0, by the one array and by the per-entry walk alike.
+_OP1 = ("operators", 1, "blocks")
+_MALFORMED = [
+    ("bool", _set((*_OP1, 0, 0, 1, 0), True), "operators[1].blocks[0][0][1][0]", "pair"),
+    ("string", _set((*_OP1, 0, 0, 1, 0, 1), "0.5"), "operators[1].blocks[0][0][1][0]", "pair"),
+    ("nan", _set((*_OP1, 0, 0, 1, 0, 1), float("nan")), "operators[1].blocks[0][0][1][0]",
+     "finite"),
+    ("1e51", _set((*_OP1, 0, 0, 1, 0, 1), 1e51), "operators[1].blocks[0][0][1][0]",
+     "magnitude"),
+    ("int-beyond-int64", _set((*_OP1, 0, 0, 1, 0, 0), 10**60), "operators[1].blocks[0][0][1][0]",
+     "magnitude"),
+    ("ragged-row", _pop((*_OP1, 0, 0, 1)), "operators[1].blocks[0][0][1]", "expected 2 entries"),
+    ("block-rows", _pop(_OP1), "operators[1].blocks", "expected 2 block rows"),
+    ("blocks-in-row", _pop((*_OP1, 0)), "operators[1].blocks[0]", "expected 2 blocks"),
+    ("wrong-d", _set((*_OP1, 0, 0), [[[0.0, 0.0]] * 3] * 3), "operators[1].blocks[0][0]",
+     "expected 2 rows"),
+]
+
+
+@pytest.mark.parametrize("mutate, field, words", [m[1:] for m in _MALFORMED],
+                         ids=[m[0] for m in _MALFORMED])
+def test_malformed_operator_names_field(tmp_path, capfd, mutate, field, words):
+    data = generate_instance("known-bounds", 2, 2, 3, seed=1).to_dict()
+    block = [[[1.0, 0.0], [0.5, -0.5]], [[0.0, 1.0], [2.0, 0.0]]]
+    data["operators"][1] = json.loads(json.dumps({"target_rank": 2, "blocks": [[block] * 2] * 2}))
+    mutate(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, report = run_command(["verify", str(path)])
+    assert code == 3
+    assert report.error.startswith(f"SpecFormatError: {field}:") and words in report.error
+    assert capfd.readouterr().err == ""
+
+
+def test_integer_beyond_int64_inside_the_cap_is_read(tmp_path):
+    data = generate_instance("known-bounds", 2, 2, 3, seed=1).to_dict()
+    data["operators"][0]["blocks"][0][0][1][0] = [2**70, -(2**64)]
+    spec = FrameSpecFile.from_dict(data)
+    assert spec.operators[0].flat[1, 0] == complex(float(2**70), -float(2**64))
+
+
+# -- one parser per process --------------------------------------------------
+
+def _spec(tmp_path, kind="dual-pair") -> str:
+    path = tmp_path / f"{kind}.json"
+    save_spec(generate_instance(kind, 2, 2, 3, seed=3), path)
+    return str(path)
+
+
+def _call(argv, capsys, fresh: bool, monkeypatch) -> tuple:
+    if fresh:
+        monkeypatch.setattr(cli, "_parser", None)
+    code, report = run_command(argv)
+    captured = capsys.readouterr()
+    out = argv[argv.index("--out") + 1] if "--out" in argv else None
+    text = Path(out).read_text(encoding="utf-8") if out else None
+    return code, report.error, captured.out, captured.err, text
+
+
+@pytest.mark.parametrize(
+    "sequence",
+    [
+        [["dual", "@", "--method", "minimal"], ["dual", "@"]],
+        [["verify", "@", "--format", "text"], ["verify", "@"]],
+        [["bounds", "@", "--out", "@out"], ["bounds", "@"]],
+        [["bounds", "@", "--seed", "5"], ["bounds", "@"]],
+        [["verify", "@", "--format", "xml"], ["verify", "@", "--tol", "1e-3"], ["verify", "@"]],
+    ],
+    ids=["method", "format", "out", "parse-error", "bad-choice"],
+)
+def test_reused_parser_leaks_nothing(tmp_path, capsys, monkeypatch, sequence):
+    spec = _spec(tmp_path)
+    sequence = [[spec if a == "@" else str(tmp_path / "r.json") if a == "@out" else a
+                 for a in argv] for argv in sequence]
+    fresh = [_call(argv, capsys, True, monkeypatch) for argv in sequence]
+    calls = []
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda b=cli.build_parser: calls.append(1) or b())
+    reused = [_call(argv, capsys, False, monkeypatch) for argv in sequence]
+    assert reused == fresh
+    assert len(calls) == 1
+
+
+def test_reused_parser_matches_fresh_process(tmp_path, capsys):
+    spec = _spec(tmp_path)
+    argv = ["dual", spec, "--method", "minimal"]
+    run_command(["bounds", spec, "--seed", "5"])
+    run_command(["dual", spec, "--format", "text"])
+    capsys.readouterr()
+    code, _ = run_command(argv)
+    in_process = capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "modframes.cli", *argv], capture_output=True,
+                          text=True, env=env, check=False)
+    assert (proc.returncode, proc.stdout) == (code, in_process)
+
+
+@pytest.mark.parametrize(
+    "sub, extra, message",
+    [
+        ("bounds", ["--seed", "5"], "unrecognized arguments: --seed 5"),
+        ("verify", ["--mode", "sampled"], "unrecognized arguments: --mode sampled"),
+        ("verify", ["--format", "xml"],
+         "argument --format: invalid choice: 'xml' (choose from 'json', 'text')"),
+    ],
+    ids=["seed", "mode", "format"],
+)
+def test_parse_error_names_the_argument(tmp_path, capsys, sub, extra, message):
+    spec = _spec(tmp_path)
+    code, report = run_command([sub, spec, *extra])
+    assert code == 3 and report.subcommand == "parse-error"
+    assert report.error == f"argument parsing failed: {message}"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: modframes")
+    assert captured.err.endswith(f"error: {message}\n")
+
+
+def test_help_still_exits_zero(capsys):
+    code, report = run_command(["verify", "--help"])
+    assert code == 0 and report.subcommand == "parse-error"
+    assert capsys.readouterr().out.startswith("usage: modframes verify")
+
+
+# -- douglas -----------------------------------------------------------------
+
+def test_douglas_names_the_mismatched_target_rank(tmp_path, capfd):
+    spec = generate_instance("known-bounds", 2, 3, 3, seed=0)
+    k, l = spec.operators[0], spec.operators[1]
+    assert k.target_rank != l.target_rank
+    path = tmp_path / "mismatch.json"
+    save_spec(FrameSpecFile(algebra_dim=2, module_rank=3, operators=[k, l]), path)
+    code, report = run_command(["douglas", str(path)])
+    assert code == 3
+    assert report.error.startswith("SpecFormatError: operators[1].target_rank:")
+    assert f"rank {l.target_rank}" in report.error and f"rank {k.target_rank}" in report.error
+    assert capfd.readouterr().err == ""
