@@ -22,8 +22,8 @@ Exit codes:
     4  hypothesis failure (singular frame operator, missing range
        inclusion, non-co-isometry, infinite perturbation constant,
        criteria conflict)
-    5  internal error: an unexpected exception, reported as
-       "InternalError: <type>: <message>"
+    5  internal error: an unexpected exception, a LAPACK LinAlgError
+       included, reported as "InternalError: <type>: <message>"
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field
+
+from numpy.linalg import LinAlgError
 
 from . import io as spec_io
 from .duals import canonical_dual, minimal_dual, verify_dual
@@ -108,6 +110,12 @@ def _target(spec: spec_io.FrameSpecFile) -> ModuleOperator:
     if spec.target_operator is not None:
         return spec.target_operator
     return ModuleOperator.identity(spec.algebra_dim, spec.module_rank)
+
+
+def _second_family(spec: spec_io.FrameSpecFile, pipeline: str) -> OperatorFamily:
+    if spec.second_operators is None:
+        raise spec_io.SpecFormatError(f"second_operators: required for the {pipeline}")
+    return OperatorFamily(spec.second_operators)
 
 
 def _bounds_or_optimal(
@@ -246,10 +254,8 @@ def _cmd_dual(args, report: RunReport) -> int:
 
 def _cmd_perturb(args, report: RunReport) -> int:
     spec = spec_io.load_spec(args.spec)
-    if not spec.second_operators:
-        raise spec_io.SpecFormatError("second_operators: required for the perturb pipeline")
     family = _family(spec)
-    perturbed = OperatorFamily(spec.second_operators)
+    perturbed = _second_family(spec, "perturb pipeline")
     target = _target(spec)
     aux = spec.aux_operator if spec.aux_operator is not None else target
     bounds, bounds_source = _bounds_or_optimal(spec, family, target)
@@ -281,13 +287,8 @@ def _cmd_tensor(args, report: RunReport) -> int:
     factors = []
     for path in args.spec:
         spec = spec_io.load_spec(path)
-        if not spec.second_operators:
-            raise spec_io.SpecFormatError(
-                f"{path}: second_operators (the dual family) required for tensor"
-            )
-        pair = verify_dual(
-            _family(spec), OperatorFamily(spec.second_operators), _target(spec), tol=args.tol
-        )
+        dual = _second_family(spec, f"tensor pipeline: the dual family of {path}")
+        pair = verify_dual(_family(spec), dual, _target(spec), tol=args.tol)
         factors.append(_num(pair.reconstruction_residual))
         pairs.append(pair)
     report.residuals = {"factor_residuals": factors}
@@ -367,13 +368,14 @@ def run_command(argv: list[str]) -> tuple[int, RunReport]:
     except HypothesisError as exc:
         report.error = f"{type(exc).__name__}: {exc}"
         code = EXIT_HYPOTHESIS
-    except (spec_io.SpecFormatError, FileNotFoundError, ValueError) as exc:
-        report.error = f"{type(exc).__name__}: {exc}"
-        code = EXIT_INPUT
     except Exception as exc:  # the CLI surfaces failures, it never panics
-        traceback.print_exc(file=sys.stderr)  # a bug: keep where it happened
-        report.error = f"InternalError: {type(exc).__name__}: {exc}"
-        code = EXIT_INTERNAL
+        # ValueError is an input error (SpecFormatError too); LAPACK's LinAlgError is ours
+        internal = isinstance(exc, LinAlgError) or not isinstance(
+            exc, (FileNotFoundError, ValueError))
+        if internal:
+            traceback.print_exc(file=sys.stderr)  # a bug: keep where it happened
+        report.error = f"{'InternalError: ' if internal else ''}{type(exc).__name__}: {exc}"
+        code = EXIT_INTERNAL if internal else EXIT_INPUT
     if getattr(args, "timing", False):
         report.timing_s = time.perf_counter() - started
 

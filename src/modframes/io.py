@@ -32,27 +32,47 @@ class SpecFormatError(ModframesError, ValueError):
 # matrices (about MAX_ENTRY**2) times squared bounds stay finite.
 MAX_ENTRY = 1e50
 
-
-def _decode_entry(value, path: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) for v in value)
-    ):
-        raise SpecFormatError(f"{path}: complex entry must be a [re, im] pair, got {value!r}")
-    if not all(math.isfinite(v) for v in value if isinstance(v, float)):
-        raise SpecFormatError(f"{path}: complex entry must be finite, got {value!r}")
-    if not all(abs(v) <= MAX_ENTRY for v in value):
-        raise SpecFormatError(
-            f"{path}: complex entry exceeds {MAX_ENTRY:g} in magnitude, got {value!r}"
-        )
-    return complex(value[0], value[1])
+# What each level of an operator's ``blocks`` holds; a vector's and a matrix's are the last.
+_LEVELS = ("block rows", "blocks", "rows", "entries")
 
 
-def _as_int(value, path: str) -> int:
+def _nest_fault(data, shape: tuple, path: str) -> str | None:
+    """The message naming the first field of a nest of [re, im] pairs of
+    ``shape`` at fault, or None when there is none."""
+    if shape:
+        if not isinstance(data, list) or len(data) != shape[0]:
+            return f"{path}: expected {shape[0]} {_LEVELS[-len(shape)]}"
+        faults = (_nest_fault(v, shape[1:], f"{path}[{i}]") for i, v in enumerate(data))
+        return next(filter(None, faults), None)
+    if not isinstance(data, list) or len(data) != 2 or not {*map(type, data)} <= {int, float}:
+        return f"{path}: complex entry must be a [re, im] pair, got {data!r}"
+    if not all(math.isfinite(v) for v in data if type(v) is float):
+        return f"{path}: complex entry must be finite, got {data!r}"
+    if not all(abs(v) <= MAX_ENTRY for v in data):
+        return f"{path}: complex entry exceeds {MAX_ENTRY:g} in magnitude, got {data!r}"
+    return None
+
+
+def _complex_nest(data, shape: tuple, path: str) -> np.ndarray:
+    """The complex array of ``shape`` that a nest of [re, im] pairs spells,
+    read through one ``np.asarray``; on any fault, the error names its field."""
+    try:
+        arr = np.asarray(data)
+        # integers beyond int64 leave an object array, read once all are numbers
+        if arr.shape == (*shape, 2) and (arr.dtype.kind in "iuf" or (
+                arr.dtype == object and {*map(type, arr.flat)} <= {int, float})):
+            arr = arr.astype(np.float64, copy=False)
+            if np.all(np.abs(arr) <= MAX_ENTRY):  # NaN and inf fail this too
+                return arr.view(np.complex128)[..., 0]  # bit for bit: signed zeros survive
+    except (ValueError, OverflowError):  # ragged nesting; an integer beyond the float range
+        pass
+    raise SpecFormatError(_nest_fault(data, shape, path) or f"{path}: expected [re, im] pairs")
+
+
+def _as_int(value, path: str, least: int = 1) -> int:
     """An integer field is a JSON integer: no bool, string or float (2.0 too)."""
-    if type(value) is not int:
-        raise SpecFormatError(f"{path}: must be an integer, got {value!r}")
+    if type(value) is not int or value < least:
+        raise SpecFormatError(f"{path}: must be an integer at least {least}, got {value!r}")
     return value
 
 
@@ -68,36 +88,12 @@ def _as_positive(value, path: str, cap: float = sys.float_info.max) -> float:
     )
 
 
-def _complex_array(data, shape: tuple) -> np.ndarray | None:
-    """One array for a well-formed nest of numeric [re, im] pairs of ``shape``,
-    or None when the per-entry walk must decide (and name the field at fault)."""
-    try:
-        arr = np.asarray(data)
-    except ValueError:  # ragged nesting
-        return None
-    if arr.shape != (*shape, 2) or arr.dtype.kind not in "iuf":
-        return None
-    arr = arr.astype(np.float64, copy=False)
-    if not np.all(np.abs(arr) <= MAX_ENTRY):  # NaN and inf fail this too
-        return None
-    out = np.empty(shape, dtype=np.complex128)
-    out.real, out.imag = arr[..., 0], arr[..., 1]  # separately, so signed zeros survive
-    return out
-
-
-def decode_matrix(data, dim: int, path: str) -> np.ndarray:
-    out = _complex_array(data, (dim, dim))
-    if out is not None:
-        return out
-    if not isinstance(data, list) or len(data) != dim:
-        raise SpecFormatError(f"{path}: expected {dim} rows")
-    out = np.empty((dim, dim), dtype=np.complex128)
-    for r, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != dim:
-            raise SpecFormatError(f"{path}[{r}]: expected {dim} entries")
-        for c, entry in enumerate(row):
-            out[r, c] = _decode_entry(entry, f"{path}[{r}][{c}]")
-    return out
+def _known(data: dict, keys, prefix: str, note: str = "") -> None:
+    """Reject the first key of ``data`` outside ``keys``, named by its path."""
+    extra = sorted(data.keys() - set(keys))
+    if extra:
+        known = ", ".join(keys)
+        raise SpecFormatError(f"{prefix}{extra[0]}: unknown key, not one of {known}{note}")
 
 
 def encode_matrix(mat: np.ndarray) -> list:
@@ -109,22 +105,10 @@ def encode_matrix(mat: np.ndarray) -> list:
 def decode_operator(data, dim: int, source_rank: int, path: str) -> ModuleOperator:
     if not isinstance(data, dict):
         raise SpecFormatError(f"{path}: expected an object with target_rank and blocks")
-    target_rank = _as_int(data.get("target_rank"), f"{path}.target_rank")
-    blocks = data.get("blocks")
-    arr = _complex_array(blocks, (source_rank, target_rank, dim, dim))
-    if arr is not None:
-        flat = arr.transpose(0, 2, 1, 3).reshape(source_rank * dim, target_rank * dim)
-        return ModuleOperator(dim, source_rank, target_rank, flat)
-    if not isinstance(blocks, list) or len(blocks) != source_rank:
-        raise SpecFormatError(f"{path}.blocks: expected {source_rank} block rows")
-    rows = []
-    for i, brow in enumerate(blocks):
-        if not isinstance(brow, list) or len(brow) != target_rank:
-            raise SpecFormatError(f"{path}.blocks[{i}]: expected {target_rank} blocks")
-        rows.append(
-            [decode_matrix(b, dim, f"{path}.blocks[{i}][{j}]") for j, b in enumerate(brow)]
-        )
-    return ModuleOperator.from_blocks(rows)
+    n, m = source_rank, _as_int(data.get("target_rank"), f"{path}.target_rank")
+    arr = _complex_nest(data.get("blocks"), (n, m, dim, dim), f"{path}.blocks")
+    _known(data, ("target_rank", "blocks"), f"{path}.")
+    return ModuleOperator(dim, n, m, arr.transpose(0, 2, 1, 3).reshape(n * dim, m * dim))
 
 
 def encode_operator(op: ModuleOperator) -> dict:
@@ -134,22 +118,16 @@ def encode_operator(op: ModuleOperator) -> dict:
 
 
 def encode_vector(x: ModuleVector) -> dict:
-    return {
-        "dim": x.dim,
-        "rank": x.rank,
-        "blocks": encode_matrix(x.flat.reshape(x.dim, x.rank, x.dim).transpose(1, 0, 2)),
-    }
+    blocks = encode_matrix(x.flat.reshape(x.dim, x.rank, x.dim).transpose(1, 0, 2))
+    return {"dim": x.dim, "rank": x.rank, "blocks": blocks}
 
 
 def decode_vector(data, path: str = "vector") -> ModuleVector:
-    if not isinstance(data, dict) or "dim" not in data or "blocks" not in data:
-        raise SpecFormatError(f"{path}: needs dim and blocks")
-    dim = _as_int(data["dim"], f"{path}.dim")
-    blocks = data["blocks"]
-    if dim < 1 or not isinstance(blocks, list) or not blocks:
-        raise SpecFormatError(f"{path}: needs a positive dim and a non-empty list of blocks")
-    mats = [decode_matrix(b, dim, f"{path}.blocks[{i}]") for i, b in enumerate(blocks)]
-    return ModuleVector.from_blocks(mats)
+    if not isinstance(data, dict) or not isinstance(data.get("blocks"), list) or not data["blocks"]:
+        raise SpecFormatError(f"{path}: needs dim and a non-empty list of blocks")
+    dim, rank = _as_int(data.get("dim"), f"{path}.dim"), len(data["blocks"])
+    arr = _complex_nest(data["blocks"], (rank, dim, dim), f"{path}.blocks")
+    return ModuleVector(dim, rank, arr.transpose(1, 0, 2).reshape(dim, rank * dim))
 
 
 def encode_bounds(bounds: FrameBounds) -> dict:
@@ -163,16 +141,47 @@ def encode_bounds(bounds: FrameBounds) -> dict:
 
 
 def decode_bounds(data, dim: int, path: str = "bounds") -> FrameBounds:
-    if not isinstance(data, dict) or data.get("mode") not in ("scalar", "algebra"):
+    if not isinstance(data, dict):
+        raise SpecFormatError(f"{path}: expected an object with mode, lower and upper")
+    if data.get("mode") not in ("scalar", "algebra"):
         raise SpecFormatError(f"{path}.mode: must be 'scalar' or 'algebra'")
-    if data["mode"] == "scalar":
-        lower, upper = (
-            _as_positive(data.get(k), f"{path}.{k}", MAX_ENTRY) for k in ("lower", "upper")
-        )
-        return FrameBounds.scalar(lower, upper, dim)
-    lower = decode_matrix(data.get("lower"), dim, f"{path}.lower")
-    upper = decode_matrix(data.get("upper"), dim, f"{path}.upper")
-    return FrameBounds(lower=lower, upper=upper, mode="algebra")
+    scalar = data["mode"] == "scalar"
+    lower, upper = (
+        _as_positive(data.get(k), f"{path}.{k}", MAX_ENTRY) if scalar
+        else _complex_nest(data.get(k), (dim, dim), f"{path}.{k}") for k in ("lower", "upper")
+    )
+    bounds = (FrameBounds.scalar(lower, upper, dim) if scalar
+              else FrameBounds(lower=lower, upper=upper, mode="algebra"))
+    _known(data, ("mode", "lower", "upper"), f"{path}.")
+    return bounds
+
+
+def _same_target(op: ModuleOperator, want: int, path: str, what: str) -> ModuleOperator:
+    if op.target_rank != want:
+        raise SpecFormatError(f"{path}.target_rank: must equal {what} {want}, got {op.target_rank}")
+    return op
+
+
+def _family(data, dim: int, rank: int, path: str, like=None) -> list[ModuleOperator]:
+    """A non-empty list of operators on A^rank.  A second family is indexed
+    ``like`` the first: one member per member, on the same target rank."""
+    if not isinstance(data, list):
+        raise SpecFormatError(f"{path}: expected a list, got {type(data).__name__}")
+    if not data or like is not None and len(data) != len(like):
+        want = "a non-empty list" if like is None else f"{len(like)} members, one per operator"
+        raise SpecFormatError(f"{path}: expected {want}, got {len(data)}")
+    ops = [decode_operator(o, dim, rank, f"{path}[{i}]") for i, o in enumerate(data)]
+    for i, ref in enumerate(like or ()):
+        _same_target(ops[i], ref.target_rank, f"{path}[{i}]", f"operators[{i}].target_rank")
+    return ops
+
+
+def _tolerances(data, path: str) -> dict[str, float]:
+    if not isinstance(data, dict):
+        raise SpecFormatError(f"{path}: expected an object, got {data!r}")
+    values = {k: _as_positive(v, f"{path}.{k}") for k, v in data.items()}
+    _known(data, _DEFAULT_TOLERANCES, f"{path}.", "; the certification tolerance is --tol")
+    return values
 
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -270,66 +279,30 @@ class FrameSpecFile:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FrameSpecFile":
+        """Read each field once, naming it in any error; an unknown key is one."""
         if not isinstance(data, dict):
             raise SpecFormatError("top level: expected a JSON object")
         for key in ("algebra_dim", "module_rank", "operators"):
             if key not in data:
                 raise SpecFormatError(f"{key}: required field missing")
-        dim = _as_int(data["algebra_dim"], "algebra_dim")
-        rank = _as_int(data["module_rank"], "module_rank")
-        if dim < 1 or rank < 1:
-            raise SpecFormatError("algebra_dim/module_rank: must be positive")
-        ops_data = data["operators"]
-        if not isinstance(ops_data, list) or not ops_data:
-            raise SpecFormatError("operators: expected a non-empty list")
-        operators = [
-            decode_operator(o, dim, rank, f"operators[{i}]") for i, o in enumerate(ops_data)
-        ]
-        second = data.get("second_operators")
-        if second is not None:
-            if not isinstance(second, list):
-                raise SpecFormatError(
-                    f"second_operators: expected a list, got {type(second).__name__}"
-                )
-            second = [
-                decode_operator(o, dim, rank, f"second_operators[{i}]")
-                for i, o in enumerate(second)
-            ]
-        target, aux = (
-            None if data.get(key) is None else decode_operator(data[key], dim, rank, key)
-            for key in ("target_operator", "aux_operator")
-        )
-        for key, op in (("target_operator", target), ("aux_operator", aux)):
-            if op is not None and op.target_rank != rank:  # K and aux map A^n to A^n
-                raise SpecFormatError(
-                    f"{key}.target_rank: must equal module_rank {rank}, got {op.target_rank}"
-                )
-        bounds = None
-        if data.get("bounds") is not None:
-            bounds = decode_bounds(data["bounds"], dim)
-        # The seed records how ``gen`` made the file; no decision reads it.
-        seed = None if data.get("seed") is None else _as_int(data["seed"], "seed")
-        tolerances = {} if data.get("tolerances") is None else data["tolerances"]
-        if not isinstance(tolerances, dict):
-            raise SpecFormatError(f"tolerances: expected an object, got {tolerances!r}")
-        tolerances = {k: _as_positive(v, f"tolerances.{k}") for k, v in tolerances.items()}
-        unknown = sorted(tolerances.keys() - _DEFAULT_TOLERANCES.keys())
-        if unknown:
-            raise SpecFormatError(
-                f"tolerances.{unknown[0]}: unknown key; a spec sets only cond_cap and "
-                "rank_tol, and the certification tolerance is the --tol flag"
-            )
-        return cls(
-            algebra_dim=dim,
-            module_rank=rank,
-            operators=operators,
-            second_operators=second,
-            target_operator=target,
-            aux_operator=aux,
-            bounds=bounds,
-            seed=seed,
-            tolerances=tolerances,
-        )
+        dim, rank = (_as_int(data[key], key) for key in ("algebra_dim", "module_rank"))
+        operators = _family(data["operators"], dim, rank, "operators")
+
+        def endomorphism(value, path):  # K and aux map A^n to A^n
+            return _same_target(decode_operator(value, dim, rank, path), rank, path, "module_rank")
+
+        optional = {  # null reads as absent
+            "second_operators": lambda value, path: _family(value, dim, rank, path, operators),
+            "target_operator": endomorphism,
+            "aux_operator": endomorphism,
+            "bounds": lambda value, path: decode_bounds(value, dim, path),
+            # The seed records how ``gen`` made the file; no decision reads it.
+            "seed": lambda value, path: _as_int(value, path, least=0),
+            "tolerances": _tolerances,
+        }
+        read = {key: optional[key](data[key], key) for key in optional if data.get(key) is not None}
+        _known(data, ("algebra_dim", "module_rank", "operators", *optional), "")
+        return cls(dim, rank, operators, **read)
 
     def to_json(self) -> str:
         return dumps(self.to_dict()) + "\n"
@@ -341,12 +314,34 @@ def save_spec(spec: FrameSpecFile, path) -> None:
 
 
 def load_spec(path) -> FrameSpecFile:
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    return FrameSpecFile.from_dict(data)
+    spec = FrameSpecFile.from_dict(data)
+    # No spec field is boolean.  Key names hold no "f" and few "u", and a search
+    # for one letter runs at memchr speed, many times faster than one for "true".
+    at = text.find("u")
+    while at >= 0 and text[max(at - 2, 0):at + 2] != "true":
+        at = text.find("u", at + 1)
+    if at >= 0 or "f" in text and "false" in text:
+        _reject_bool_pair(data, "")
+    return spec
+
+
+def _reject_bool_pair(data, path: str) -> None:
+    """Name the first [re, im] pair holding a boolean: ``from_dict`` rejects a
+    boolean anywhere else, but ``np.asarray`` reads one in a pair as 1 or 0."""
+    if isinstance(data, dict):
+        for key, value in data.items():
+            _reject_bool_pair(value, f"{path}.{key}" if path else key)
+    elif isinstance(data, list):
+        if any(v is True or v is False for v in data):
+            raise SpecFormatError(f"{path}: complex entry must be a [re, im] pair, got {data!r}")
+        for i, value in enumerate(data):
+            _reject_bool_pair(value, f"{path}[{i}]")
 
 
 GENERATOR_KINDS = ("tight", "known-bounds", "bessel-only", "perturbed-pair", "dual-pair")

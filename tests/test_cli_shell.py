@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modframes import cli, generate_instance, save_spec
-from modframes import io as spec_io
 from modframes.cli import run_command
 from modframes.io import GENERATOR_KINDS, FrameSpecFile, dumps
 
@@ -144,21 +143,18 @@ def _decoded(spec: FrameSpecFile) -> dict:
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 @pytest.mark.parametrize("d, n, count", [(1, 2, 3), (2, 3, 4), (4, 2, 3)])
-def test_one_array_decode_is_bitwise_per_entry(kind, d, n, count, monkeypatch):
+def test_one_array_decode_is_bitwise_per_entry(kind, d, n, count):
     data = generate_instance(kind, d, n, count, seed=7).to_dict()
-    # signed zeros and JSON integers must come through as the per-entry path reads them
+    # signed zeros and JSON integers must come through as complex(re, im) reads them
     first = data["operators"][0]["blocks"][0][0]
     first[0][0] = [-0.0, -0.0]
     if d > 1:
         first[0][1] = [3, -2]
     fast = _decoded(FrameSpecFile.from_dict(copy.deepcopy(data)))
-    monkeypatch.setattr(spec_io, "_complex_array", lambda data, shape: None)
-    walked = _decoded(FrameSpecFile.from_dict(copy.deepcopy(data)))
     ops = dict(_all_operators(data))
-    assert fast.keys() == walked.keys() == ops.keys()
+    assert fast.keys() == ops.keys()
     for name, op in fast.items():
-        oracle = _per_entry_flat(ops[name], d, n)
-        assert op.flat.tobytes() == oracle.tobytes() == walked[name].flat.tobytes(), name
+        assert op.flat.tobytes() == _per_entry_flat(ops[name], d, n).tobytes(), name
     corner = fast["operators[0]"].flat[0, 0]
     assert np.signbit(corner.real) and np.signbit(corner.imag)
 
@@ -181,12 +177,21 @@ def _pop(path_keys):
     return mutate
 
 
-# Each malformed operator names the field path the per-entry decoder names.
-# "bool" replaces a whole [re, im] entry; a bool inside a pair is still read
-# as 1.0 or 0.0, by the one array and by the per-entry walk alike.
+def _both(*mutations):
+    def mutate(data):
+        for m in mutations:
+            m(data)
+    return mutate
+
+
+# Each malformed operator exits 3 naming the field at fault.  "bool" replaces a
+# whole [re, im] entry and "bool-in-pair" one number of it: the one array would
+# read that boolean as 1.0, so load_spec names the pair that holds it.
 _OP1 = ("operators", 1, "blocks")
 _MALFORMED = [
     ("bool", _set((*_OP1, 0, 0, 1, 0), True), "operators[1].blocks[0][0][1][0]", "pair"),
+    ("bool-in-pair", _set((*_OP1, 0, 0, 1, 0, 0), True), "operators[1].blocks[0][0][1][0]",
+     "pair"),
     ("string", _set((*_OP1, 0, 0, 1, 0, 1), "0.5"), "operators[1].blocks[0][0][1][0]", "pair"),
     ("nan", _set((*_OP1, 0, 0, 1, 0, 1), float("nan")), "operators[1].blocks[0][0][1][0]",
      "finite"),
@@ -199,6 +204,10 @@ _MALFORMED = [
     ("blocks-in-row", _pop((*_OP1, 0)), "operators[1].blocks[0]", "expected 2 blocks"),
     ("wrong-d", _set((*_OP1, 0, 0), [[[0.0, 0.0]] * 3] * 3), "operators[1].blocks[0][0]",
      "expected 2 rows"),
+    ("target-rank-zero", _both(_set(("operators", 1, "target_rank"), 0), _set(_OP1, [[], []])),
+     "operators[1].target_rank", "at least 1"),
+    ("target-rank-negative", _set(("operators", 1, "target_rank"), -1),
+     "operators[1].target_rank", "at least 1"),
 ]
 
 

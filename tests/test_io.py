@@ -1,9 +1,14 @@
 """Spec file round-trips, instance generators, and the CLI contract."""
 
+import contextlib
+import io
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modframes import (
     FrameBounds,
@@ -322,6 +327,62 @@ class TestInputBoundary:
         assert code == 3 and report.error.startswith("SpecFormatError: second_operators:")
         assert capfd.readouterr().err == ""
 
+    @pytest.mark.parametrize(
+        "field, literal",
+        [("algebra_dim", "0"), ("algebra_dim", "-1"), ("module_rank", "0"),
+         ("module_rank", "-1"), ("seed", "-1")],
+    )
+    def test_integer_field_below_its_least_names_field(self, tmp_path, field, literal, capfd):
+        data = json.loads(_KNOWN_BOUNDS.to_json())
+        path = _write_with_literal(tmp_path, data, (field,), literal)
+        code, report = run_command(["verify", str(path)])
+        assert code == 3 and report.error.startswith(f"SpecFormatError: {field}: must be an "
+                                                     "integer at least")
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "keys, field",
+        [((), "extra"), (("operators", 1), "operators[1].extra"),
+         (("target_operator",), "target_operator.extra"), (("bounds",), "bounds.extra")],
+        ids=["top-level", "operator", "target-operator", "bounds"],
+    )
+    def test_unknown_key_names_its_path(self, tmp_path, keys, field, capfd):
+        data = json.loads(_KNOWN_BOUNDS.to_json())
+        entry = data
+        for key in keys:
+            entry = entry[key]
+        entry["extra"] = 1
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SpecFormatError, match="unknown key"):
+            load_spec(path)
+        code, report = run_command(["verify", str(path)])
+        assert code == 3 and report.error.startswith(f"SpecFormatError: {field}: unknown key")
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "kind, sub", [("perturbed-pair", "perturb"), ("dual-pair", "tensor"),
+                      ("dual-pair", "verify")]
+    )
+    @pytest.mark.parametrize("fault", ["short", "target-rank"])
+    def test_second_operators_indexed_like_operators(self, tmp_path, kind, sub, fault, capfd):
+        spec = generate_instance(kind, 2, 3, 3, seed=4)
+        ranks = [m.target_rank for m in spec.operators]
+        if fault == "short":
+            spec.second_operators = spec.second_operators[:-1]
+            field, words = "second_operators", "expected 3 members"
+        else:
+            i = ranks.index(min(ranks))
+            second = ModuleOperator.zero(2, 3, ranks[i] + 1)
+            spec.second_operators[i] = second
+            field, words = f"second_operators[{i}].target_rank", f"operators[{i}].target_rank"
+        path = tmp_path / "mis-indexed.json"
+        save_spec(spec, path)
+        code, report = run_command([sub, str(path)] + ([str(path)] if sub == "tensor" else []))
+        assert code == 3 and report.error.startswith(f"SpecFormatError: {field}:")
+        assert words in report.error
+        assert capfd.readouterr().err == ""
+
 
 class TestGenerators:
     def test_tight_has_identity_frame_operator(self):
@@ -510,6 +571,19 @@ class TestCliContract:
         code, report = run_command(["verify", str(tmp_path / "unused.json")])
         assert code == cli.EXIT_INTERNAL == 5
         assert report.error == "InternalError: RuntimeError: boom"
+        assert "Traceback" in capsys.readouterr().err
+
+    def test_lapack_failure_is_internal_not_input(self, tmp_path, monkeypatch, capsys):
+        path = self._gen(tmp_path, "known-bounds", 30)
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        capsys.readouterr()
+        code, report = run_command(["verify", str(path)])
+        assert code == 5
+        assert report.error == "InternalError: LinAlgError: Eigenvalues did not converge"
         assert "Traceback" in capsys.readouterr().err
 
     def test_tensor_command(self, tmp_path):
@@ -715,3 +789,84 @@ class TestOneSpectrumPerFamily:
             save_spec(generate_instance("dual-pair", 2, 2, 3, seed=seed), path)
             paths.append(str(path))
         assert _count_calls(monkeypatch, ["tensor", *paths]) == {"gram": 0, "solves": 0}
+
+
+# -- the exit-3 contract, by mutation -------------------------------------------
+
+# Valid specs and the subcommands that read them: every field of each is read
+# by at least one of its subcommands.
+_algebra_kb = generate_instance("known-bounds", 2, 2, 2, seed=5)
+_algebra_kb.bounds = FrameBounds(lower=_algebra_kb.bounds.lower, upper=_algebra_kb.bounds.upper,
+                                 mode="algebra")
+_CONTRACT_BASES = [
+    (generate_instance("perturbed-pair", 2, 2, 2, seed=5).to_dict(), ("perturb", "verify")),
+    (generate_instance("dual-pair", 2, 2, 2, seed=5).to_dict(), ("dual", "tensor")),
+    (_algebra_kb.to_dict(), ("verify", "bounds", "douglas")),
+]
+# A literal spelled into the file as it stands, as "@1e400@" becomes 1e400
+# (which json reads as inf).
+_LITERAL = re.compile(r'"@([^"@]*)@"')
+
+
+def _replacements(value) -> list[tuple[object, bool]]:
+    """(replacement, whether no spec field at all can hold it)."""
+    return [(True, True), (False, True), (float("nan"), True), ("@1e400@", True),
+            ("@-1e400@", True), ("2", True), ([value], True), ({"x": value}, True),
+            (None, False), (0, False), (-1, False), (0.5, False), (10**30, False)] + (
+        [(-value, False), (float(value), False), (str(value), True)]
+        if type(value) in (int, float) else [])
+
+
+def _resolves(data, path: str) -> bool:
+    """Whether ``path`` names a value of ``data``, or a key missing from an object in it."""
+    tokens = re.findall(r"\[(\d+)\]|\.?([a-z_]+)", path)
+    for n, (index, key) in enumerate(tokens):
+        last = n == len(tokens) - 1
+        if key and isinstance(data, dict) and (key in data or last):
+            data = data.get(key)
+        elif index and isinstance(data, list) and int(index) < len(data):
+            data = data[int(index)]
+        else:
+            return False
+    return True
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_any_mutation_is_a_verdict_or_names_its_field(tmp_path_factory, data):
+    """Delete a key, swap a type, insert a bool, NaN or 1e400, nest a value, make
+    it negative or zero, or add an unknown key: the CLI gives a verdict (exit 0,
+    1, 2), a hypothesis failure (exit 4) or an input error naming a field of
+    the mutated spec (exit 3), never an internal error (exit 5).  A value no
+    spec field can hold is always an input error."""
+    base, subs = data.draw(st.sampled_from(_CONTRACT_BASES))
+    spec = json.loads(json.dumps(base))
+    parent, key, depth = None, None, data.draw(st.integers(1, 8))
+    node = spec
+    while depth and isinstance(node, (dict, list)) and node:
+        parent = node
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        node, depth = node[key], depth - 1
+    action = data.draw(st.sampled_from(["delete", "replace", "unknown-key"]))
+    if action == "delete":
+        del parent[key]
+        rejected = False
+    elif action == "replace" or not isinstance(node, dict):
+        parent[key], rejected = data.draw(st.sampled_from(_replacements(node)))
+    else:
+        node["extra"], rejected = 1, True
+    path = tmp_path_factory.mktemp("mutated") / "spec.json"
+    path.write_text(_LITERAL.sub(r"\1", json.dumps(spec)))
+    sub = data.draw(st.sampled_from(subs))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code, report = run_command([sub, str(path)] + ([str(path)] if sub == "tensor" else []))
+    assert code in (0, 1, 2, 3, 4), report.error
+    assert code == 3 or not rejected, report.error
+    if code == 3:
+        match = re.match(r"SpecFormatError: ([a-z_]+(?:\[\d+\]|\.[a-z_]+)*): ", report.error)
+        assert match and _resolves(json.loads(path.read_text()), match[1]), report.error
+    elif code == 4:
+        assert report.error and not report.error.startswith("SpecFormatError")
+    else:
+        assert report.error is None and report.verdicts
