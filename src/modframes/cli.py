@@ -6,9 +6,10 @@ fixed argv and input files; wall-clock timing is only recorded when
 --timing is passed, precisely because it would break that determinism.
 Every decision is exact, so only ``gen`` takes a seed (``--seed``, default
 0); the report's ``seed`` is that seed for ``gen`` and null otherwise.
-A JSON report is ``io.dumps`` of the report: the bytes json.dumps(sort_keys=True,
-indent=2) writes.  The parser is built once per process; a rejected command
-line exits 3 with argparse's message in ``error`` and its usage on stderr.
+A JSON report is ``json.dumps(report, sort_keys=True)`` and a newline, compact
+like a spec file; ``--format text`` is the view for people.  The parser is
+built once per process; a rejected command line exits 3 with argparse's
+message in ``error`` and its usage on stderr.
 
 Exit codes:
     0  verified / certified, or informational success
@@ -82,15 +83,13 @@ class RunReport:
         }
 
     def render(self, fmt: str) -> str:
-        if fmt == "json":
-            return spec_io.dumps(self.to_dict()) + "\n"
-        lines = [f"modframes {self.subcommand}"]
         d = self.to_dict()
+        if fmt == "json":
+            return json.dumps(d, sort_keys=True) + "\n"
+        lines = [f"modframes {self.subcommand}"]
         for key in sorted(d):
-            if key in ("command",):
-                lines.append(f"{key}: {' '.join(d[key])}")
-            else:
-                lines.append(f"{key}: {json.dumps(d[key], sort_keys=True)}")
+            value = " ".join(d[key]) if key == "command" else json.dumps(d[key], sort_keys=True)
+            lines.append(f"{key}: {value}")
         return "\n".join(lines) + "\n"
 
 
@@ -153,6 +152,17 @@ class _Parser(argparse.ArgumentParser):
         raise ArgumentParseError(message)
 
 
+def _int_at_least(least: int):
+    """An argparse ``type`` that reads an integer and names its flag when below ``least``."""
+    def int_(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be an integer at least {least}, got {value}")
+        return value
+    int_.__name__ = "int"  # argparse's "invalid int value: 'x'" for a non-integer
+    return int_
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="modframes",
@@ -162,11 +172,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a reproducible instance file")
     p_gen.add_argument("--kind", choices=spec_io.GENERATOR_KINDS, required=True)
-    p_gen.add_argument("--dim", type=int, default=2, help="algebra dimension d")
-    p_gen.add_argument("--rank", type=int, default=2, help="module rank n")
-    p_gen.add_argument("--count", type=int, default=3, help="family member count")
+    p_gen.add_argument("--dim", type=_int_at_least(1), default=2, help="algebra dimension d")
+    p_gen.add_argument("--rank", type=_int_at_least(1), default=2, help="module rank n")
+    p_gen.add_argument("--count", type=_int_at_least(1), default=3, help="family member count")
     p_gen.add_argument("--spec-out", required=True, help="instance file to write")
-    p_gen.add_argument("--seed", type=int, default=0, help="generator seed")
+    p_gen.add_argument("--seed", type=_int_at_least(0), default=0, help="generator seed")
     _add_common(p_gen)
 
     for name, helptext in (

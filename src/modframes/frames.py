@@ -236,7 +236,9 @@ def _structural_side(c1, p, c2, q) -> tuple[float, ModuleVector | None, str]:
     [C1* v, C2* v] = basis R (reduced QR), X = basis [p, q]* has unit
     Frobenius norm when z = [p; q] does, and v* gap(X) v = z* H z for
     H = conj(r1) r1^T (x) P - conj(r2) r2^T (x) Q, r_j the columns of R.
-    The smallest eigenvalue of H over the candidate v is the margin.
+    The smallest eigenvalue of H over the candidate v is the margin: one
+    batched ``eigvalsh`` picks the candidate, and one ``eigh`` of its H gives
+    the margin and the witness.
     """
     if not np.any(q):
         return 0.0, None, "exact"
@@ -247,10 +249,11 @@ def _structural_side(c1, p, c2, q) -> tuple[float, ModuleVector | None, str]:
     h = np.einsum("ki,kj,ab->kiajb", np.conj(r1), r1, p) - np.einsum(
         "ki,kj,ab->kiajb", np.conj(r2), r2, q
     )
-    w, z = np.linalg.eigh(h.reshape(len(vs), 2 * nd, 2 * nd))
-    best = int(np.argmin(w[:, 0]))
-    flat = basis[best] @ np.conj(z[best, :, 0].reshape(2, nd))
-    return float(w[best, 0]), ModuleVector(d, nd // d, flat), "upper_bound"
+    h = h.reshape(len(vs), 2 * nd, 2 * nd)
+    best = int(np.argmin(np.linalg.eigvalsh(h)[:, 0]))
+    w, z = np.linalg.eigh(h[best])
+    flat = basis[best] @ np.conj(z[:, 0].reshape(2, nd))
+    return float(w[0]), ModuleVector(d, nd // d, flat), "upper_bound"
 
 
 def certify(

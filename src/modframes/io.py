@@ -3,8 +3,10 @@
 A spec file is JSON with complex entries encoded as [re, im] pairs and
 matrices as row-major nested lists.  Operators are stored blockwise: a
 ``blocks`` field is a source_rank x target_rank nest of d x d matrices.
-The same helpers serialize vectors and bounds for CLI reports; round-trips
-are byte-stable because floats are emitted with shortest round-trip repr.
+The same helpers serialize vectors and bounds for CLI reports.  A spec is
+written compact, ``json.dumps(spec, sort_keys=True)`` and a newline, and read
+in any layout; floats are spelled in shortest round-trip repr, so a round
+trip is byte-stable.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
@@ -184,65 +185,6 @@ def _tolerances(data, path: str) -> dict[str, float]:
     return values
 
 
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_CONSTANTS = {None: "null", True: "true", False: "false"}
-
-
-def _float_rows(o: list, inner: str) -> str | None:
-    """The body of a list of floats, or of non-empty lists of floats (a row of
-    [re, im] pairs), in one ``join``; None for anything else, nan and inf too."""
-    sep = "," + inner
-    try:
-        if type(o[0]) is float:
-            body = sep.join(map(float.__repr__, o))
-        elif type(o[0]) is list and o[0] and type(o[0][0]) is float:
-            open_, row_sep, close = "[" + inner + "  ", sep + "  ", inner + "]"
-            rows = [open_ + row_sep.join(map(float.__repr__, v)) + close
-                    for v in o if type(v) is list and v]
-            if len(rows) != len(o):  # a row that is not a non-empty list
-                return None
-            body = sep.join(rows)
-        else:
-            return None
-    except TypeError:  # an item that is not a float
-        return None
-    return None if "n" in body else body  # json spells nan and inf itself
-
-
-def _render(o, nl: str) -> str:
-    if type(o) is float:
-        text = float.__repr__(o)
-        return _NONFINITE.get(text, text)
-    if type(o) is str:
-        return _encode_str(o)
-    if type(o) is int:
-        return int.__repr__(o)
-    if o is None or o is True or o is False:
-        return _CONSTANTS[o]
-    inner = nl + "  "
-    if type(o) is dict:
-        items = [_encode_str(k) + ": " + _render(o[k], inner) for k in sorted(o)]
-        return "{" + inner + ("," + inner).join(items) + nl + "}" if o else "{}"
-    if type(o) is not list and type(o) is not tuple:
-        raise TypeError(type(o).__name__)
-    if not o:
-        return "[]"
-    body = _float_rows(o, inner) or ("," + inner).join([_render(v, inner) for v in o])
-    return "[" + inner + body + nl + "]"
-
-
-def dumps(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, in about half
-    json's time: ``indent`` sends json to its pure-Python encoder, while this
-    joins whole rows of floats at once.  Other types and non-``str`` keys go
-    to ``json.dumps`` itself."""
-    try:
-        return _render(obj, "\n")
-    except (TypeError, ValueError, RecursionError):
-        pass
-    return json.dumps(obj, sort_keys=True, indent=2)
-
-
 @dataclass
 class FrameSpecFile:
     """In-memory form of a frame specification file."""
@@ -280,6 +222,13 @@ class FrameSpecFile:
     @classmethod
     def from_dict(cls, data: dict) -> "FrameSpecFile":
         """Read each field once, naming it in any error; an unknown key is one."""
+        spec = cls._read(data)
+        _reject_bool_pair(data, "")
+        return spec
+
+    @classmethod
+    def _read(cls, data: dict) -> "FrameSpecFile":
+        """``from_dict`` but for the walk that names a boolean in an [re, im] pair."""
         if not isinstance(data, dict):
             raise SpecFormatError("top level: expected a JSON object")
         for key in ("algebra_dim", "module_rank", "operators"):
@@ -305,7 +254,7 @@ class FrameSpecFile:
         return cls(dim, rank, operators, **read)
 
     def to_json(self) -> str:
-        return dumps(self.to_dict()) + "\n"
+        return json.dumps(self.to_dict(), sort_keys=True) + "\n"
 
 
 def save_spec(spec: FrameSpecFile, path) -> None:
@@ -320,7 +269,7 @@ def load_spec(path) -> FrameSpecFile:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    spec = FrameSpecFile.from_dict(data)
+    spec = FrameSpecFile._read(data)
     # No spec field is boolean.  Key names hold no "f" and few "u", and a search
     # for one letter runs at memchr speed, many times faster than one for "true".
     at = text.find("u")
@@ -332,7 +281,7 @@ def load_spec(path) -> FrameSpecFile:
 
 
 def _reject_bool_pair(data, path: str) -> None:
-    """Name the first [re, im] pair holding a boolean: ``from_dict`` rejects a
+    """Name the first [re, im] pair holding a boolean: ``_read`` rejects a
     boolean anywhere else, but ``np.asarray`` reads one in a pair as 1 or 0."""
     if isinstance(data, dict):
         for key, value in data.items():

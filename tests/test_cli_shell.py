@@ -1,5 +1,6 @@
 """The CLI shell around the decisions: one parser per process, one array per
-operator, and the report renderer that writes json's ``indent=2`` text."""
+operator, and the one writer of every spec and JSON report,
+``json.dumps(obj, sort_keys=True)`` and a newline."""
 
 import copy
 import json
@@ -13,18 +14,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modframes import cli, generate_instance, save_spec
-from modframes.cli import run_command
-from modframes.io import GENERATOR_KINDS, FrameSpecFile, dumps
+from modframes import cli, generate_instance, load_spec, save_spec
+from modframes import io as spec_io
+from modframes.cli import RunReport, run_command
+from modframes.io import GENERATOR_KINDS, FrameSpecFile
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _reference(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+def _compact(text: str) -> str:
+    """The text json.dumps(sort_keys=True) writes for what ``text`` holds, and a newline."""
+    return json.dumps(json.loads(text), sort_keys=True) + "\n"
 
 
-# -- io.dumps ----------------------------------------------------------------
+def _round_trip(value) -> str:
+    """A JSON report holding ``value``, checked compact, then ``value`` as read
+    back and spelled by json: float repr round-trips, so equal text is equal bits."""
+    text = RunReport(["x"], "x", residuals={"v": value}).render("json")
+    assert text == _compact(text)
+    return json.dumps(json.loads(text)["residuals"]["v"], sort_keys=True)
+
+
+# -- json.dumps writes every report ------------------------------------------
 
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.sampled_from(
     [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 1.5e300, float("inf"),
@@ -40,7 +51,6 @@ _LEAVES = (
     | st.integers(min_value=-(10**40), max_value=10**40)
     | _FLOATS
     | _STRINGS
-    # the shapes the renderer joins in one go: float rows and rows of float rows
     | st.lists(_FLOATS, max_size=3)
     | st.lists(st.lists(_FLOATS, max_size=3), max_size=3)
 )
@@ -53,8 +63,8 @@ _JSON = st.recursive(
 
 @settings(max_examples=150, deadline=None)
 @given(_JSON)
-def test_dumps_matches_json_indent_two(value):
-    assert dumps(value) == _reference(value)
+def test_dumps_matches_compact_json(value):
+    assert _round_trip(value) == json.dumps(value, sort_keys=True)
 
 
 @pytest.mark.parametrize(
@@ -70,19 +80,40 @@ def test_dumps_matches_json_indent_two(value):
         [[1.0, 2.0], [3.0, 4]],
         [[1.0, float("nan")], [2.0, 3.0]],
         {"k": [[-0.0, float("-inf")]]},
+        [[-0.0, 0.0], [-5e-324, 2.2250738585072014e-308]],
+        [[5e-324, 1e-310]],
+        [2**64, -(2**63) - 1, 10**40],
     ],
-    ids=["tuples", "empty-row", "empty-dict-row", "empty-string-row", "string-row", "float-row", "float-key-row",
-         "int-in-row", "nan-in-row", "neg-inf-in-row"],
+    ids=["tuples", "empty-row", "empty-dict-row", "empty-string-row", "string-row", "float-row",
+         "float-key-row", "int-in-row", "nan-in-row", "neg-inf-in-row", "signed-zeros",
+         "subnormals", "ints-beyond-int64"],
 )
 def test_dumps_float_row_edge_cases(value):
-    assert dumps(value) == _reference(value)
+    """Each value comes back from a report as json spells it: nan and inf as
+    NaN and Infinity, -0.0 and subnormals bit for bit, integers exact."""
+    assert _round_trip(value) == json.dumps(value, sort_keys=True)
+
+
+def test_report_edge_values_come_back_bit_for_bit():
+    values = [-0.0, 5e-324, -2.2250738585072014e-308, float("inf"), float("-inf")]
+    text = RunReport(["x"], "x", residuals={"v": values, "n": 2**70}).render("json")
+    back = json.loads(text)["residuals"]
+    assert np.array(back["v"]).tobytes() == np.array(values).tobytes()
+    assert back["n"] == 2**70 and type(back["n"]) is int
+    assert '"v": [-0.0, 5e-324, -2.2250738585072014e-308, Infinity, -Infinity]' in text
+    nan = json.loads(RunReport(["x"], "x", residuals={"v": [[1.0, float("nan")]]}).render("json"))
+    assert np.isnan(nan["residuals"]["v"][0][1])
 
 
 @pytest.mark.parametrize(
     "value", [{1: 2.0, 3: [4.0]}, {2.5: "x", True: None}], ids=["int-keys", "other-keys"]
 )
 def test_dumps_hands_non_str_keys_to_json(value):
-    assert dumps(value) == _reference(value)
+    """A key that is not a str is spelled as json spells it, a string (sorted
+    before it is spelled, so such a report need not be in sorted order)."""
+    back = json.loads(RunReport(["x"], "x", residuals={"v": value}).render("json"))
+    assert back["residuals"]["v"] == json.loads(json.dumps(value))
+    assert all(type(k) is str for k in back["residuals"]["v"])
 
 
 def test_dumps_raises_as_json_does():
@@ -91,23 +122,66 @@ def test_dumps_raises_as_json_does():
     for bad, exc in (({"a": 1, 2: 3}, TypeError), ({"a": object()}, TypeError),
                      (circular, ValueError)):
         with pytest.raises(exc) as ours:
-            dumps(bad)
+            RunReport(["x"], "x", residuals={"v": bad}).render("json")
         with pytest.raises(exc) as theirs:
-            _reference(bad)
+            json.dumps(bad, sort_keys=True)
         assert str(ours.value) == str(theirs.value)
 
 
-@pytest.mark.parametrize("argv", [["dual"], ["perturb"], ["verify"]])
-def test_report_files_are_json_indent_two(tmp_path, argv):
-    spec = generate_instance("perturbed-pair", 2, 2, 3, seed=2)
-    spec.bounds = None  # verify then decides optimal bounds
-    path = tmp_path / "pp.json"
-    save_spec(spec, path)
+# -- every spec and JSON report is compact ----------------------------------
+
+@pytest.mark.parametrize("argv", [["dual", "@pp"], ["perturb", "@pp"], ["verify", "@pp"],
+                                  ["bounds", "@pp"], ["douglas", "@kl"], ["tensor", "@dp"],
+                                  ["gen", "--kind", "tight", "--spec-out", "@new"]])
+def test_report_files_are_compact_json(tmp_path, argv):
+    pp = generate_instance("perturbed-pair", 2, 2, 3, seed=2)
+    pp.bounds = None  # verify then decides optimal bounds
+    specs = {"@pp": pp, "@dp": generate_instance("dual-pair", 2, 2, 3, seed=2),
+             "@kl": FrameSpecFile(2, 2, [pp.second_operators[0], pp.operators[0]])}  # one target
+    for name, spec in specs.items():
+        save_spec(spec, tmp_path / name)
     out = tmp_path / "report.json"
-    code, _ = run_command([*argv, str(path), "--out", str(out)])
-    assert code == 0
+    argv = [str(tmp_path / a) if a.startswith("@") else a for a in argv]
+    code, _ = run_command([*argv, "--out", str(out)])
+    assert code in (0, 1)
     text = out.read_text(encoding="utf-8")
-    assert text == _reference(json.loads(text)) + "\n"
+    assert text == _compact(text)
+    assert json.loads(text)["verdicts"]
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_gen_specs_are_compact_json(tmp_path, kind):
+    path = tmp_path / "spec.json"
+    code, _ = run_command(["gen", "--kind", kind, "--dim", "3", "--seed", "4",
+                           "--spec-out", str(path), "--out", str(tmp_path / "report.json")])
+    assert code == 0
+    text = path.read_text(encoding="utf-8")
+    assert text == _compact(text) == generate_instance(kind, 3, 2, 3, seed=4).to_json()
+
+
+def _arrays(spec: FrameSpecFile) -> list:
+    ops = [*spec.operators, *(spec.second_operators or ()), spec.target_operator,
+           spec.aux_operator]
+    arrays = [op.flat.tobytes() for op in ops if op is not None]
+    if spec.bounds is not None:
+        arrays += [spec.bounds.lower.tobytes(), spec.bounds.upper.tobytes()]
+    return arrays
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_spec_in_any_layout_loads_bitwise(tmp_path, kind):
+    """Specs are written compact and read in any layout: the indent=2 text an
+    older writer laid out loads to the same arrays, bit for bit."""
+    spec = generate_instance(kind, 2, 3, 4, seed=6)
+    compact, laid_out = tmp_path / "compact.json", tmp_path / "indented.json"
+    save_spec(spec, compact)
+    text = compact.read_text(encoding="utf-8")
+    laid_out.write_text(json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n",
+                        encoding="utf-8")
+    assert len(laid_out.read_text(encoding="utf-8")) > 2 * len(text)
+    old, new = load_spec(laid_out), load_spec(compact)
+    assert _arrays(old) == _arrays(new) == _arrays(spec)
+    assert (old.seed, old.tolerances) == (new.seed, new.tolerances)
 
 
 # -- one array per operator --------------------------------------------------
@@ -226,6 +300,38 @@ def test_malformed_operator_names_field(tmp_path, capfd, mutate, field, words):
     assert capfd.readouterr().err == ""
 
 
+@pytest.mark.parametrize("mutate, field", [m[1:3] for m in _MALFORMED[:2]],
+                         ids=[m[0] for m in _MALFORMED[:2]])
+def test_from_dict_names_a_bool_pair_as_load_spec_does(tmp_path, mutate, field):
+    data = generate_instance("known-bounds", 2, 2, 3, seed=1).to_dict()
+    mutate(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    errors = []
+    for read in (lambda: FrameSpecFile.from_dict(data), lambda: load_spec(path)):
+        with pytest.raises(spec_io.SpecFormatError) as exc:
+            read()
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] and errors[0].startswith(f"{field}: complex entry")
+
+
+def test_load_spec_walks_for_bools_only_when_the_text_spells_one(tmp_path, monkeypatch):
+    walks = []
+    monkeypatch.setattr(spec_io, "_reject_bool_pair", lambda data, path: walks.append(path))
+    data = generate_instance("perturbed-pair", 2, 2, 3, seed=1).to_dict()
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    load_spec(path)
+    assert walks == []
+    for spelled in (True, False):
+        _set(("operators", 0, "blocks", 0, 0, 1, 0, 0), spelled)(data)
+        path.write_text(json.dumps(data))
+        load_spec(path)
+    assert walks == ["", ""]
+    FrameSpecFile.from_dict(data)
+    assert walks == ["", "", ""]
+
+
 def test_integer_beyond_int64_inside_the_cap_is_read(tmp_path):
     data = generate_instance("known-bounds", 2, 2, 3, seed=1).to_dict()
     data["operators"][0]["blocks"][0][0][1][0] = [2**70, -(2**64)]
@@ -308,6 +414,28 @@ def test_parse_error_names_the_argument(tmp_path, capsys, sub, extra, message):
     assert captured.out == ""
     assert captured.err.startswith("usage: modframes")
     assert captured.err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "flag, value, least",
+    [("--seed", "-1", 0), ("--dim", "0", 1), ("--rank", "0", 1), ("--count", "-2", 1)],
+)
+def test_gen_integer_flag_names_itself(tmp_path, capsys, flag, value, least):
+    path = tmp_path / "spec.json"
+    code, report = run_command(["gen", "--kind", "tight", flag, value, "--spec-out", str(path)])
+    message = f"argument {flag}: must be an integer at least {least}, got {value}"
+    assert code == 3 and report.subcommand == "parse-error"
+    assert report.error == f"argument parsing failed: {message}"
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    assert not path.exists()
+
+
+def test_gen_integer_flags_take_their_least_value(tmp_path):
+    path = tmp_path / "spec.json"
+    argv = ["gen", "--kind", "tight", "--seed", "0", "--dim", "1", "--rank", "1", "--count", "1"]
+    code, report = run_command([*argv, "--spec-out", str(path), "--out", str(tmp_path / "r")])
+    assert code == 0 and report.seed == 0
+    assert path.read_text(encoding="utf-8") == generate_instance("tight", 1, 1, 1, 0).to_json()
 
 
 def test_help_still_exits_zero(capsys):

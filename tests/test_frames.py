@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from modframes import frames
 from modframes import (
     FrameBounds,
     ModuleOperator,
@@ -230,6 +231,37 @@ class TestCertify:
         assert c1.min_gap_lower == c2.min_gap_lower
         assert c1.min_gap_upper == c2.min_gap_upper
         assert np.array_equal(c1.witness.flat, c2.witness.flat)
+
+
+def _batched_eigh_side(c1, p, c2, q):
+    """The structural side as one batched ``eigh`` of every candidate's H."""
+    d, nd = c1.shape[0], p.shape[0]
+    vs = frames._candidate_vectors(d)
+    basis, r = np.linalg.qr(np.stack([vs @ np.conj(c1), vs @ np.conj(c2)], axis=2))
+    r1, r2 = r[:, :, 0], r[:, :, 1]
+    h = np.einsum("ki,kj,ab->kiajb", np.conj(r1), r1, p) - np.einsum(
+        "ki,kj,ab->kiajb", np.conj(r2), r2, q)
+    w, z = np.linalg.eigh(h.reshape(len(vs), 2 * nd, 2 * nd))
+    best = int(np.argmin(w[:, 0]))
+    return float(w[best, 0]), basis[best] @ np.conj(z[best, :, 0].reshape(2, nd))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_structural_side_equals_batched_eigh_bitwise(d, n):
+    """One ``eigvalsh`` over the candidates and one ``eigh`` of the argmin give
+    the margin and witness of a batched ``eigh``, bit for bit, on both sides."""
+    rng = np.random.default_rng(100 * d + n)
+    eye_d = np.eye(d, dtype=np.complex128)
+    for _ in range(4):
+        fam = random_family(d, n, 3, rng)
+        m_hat = frames._target_gram(random_operator(d, n, n, rng))
+        el = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        for args in ((eye_d, fam.gram, el, m_hat), (el, np.eye(n * d), eye_d, fam.gram)):
+            margin, witness, kind = frames._structural_side(*args)
+            ref_margin, ref_flat = _batched_eigh_side(*args)
+            assert kind == "upper_bound" and margin == ref_margin
+            assert witness.flat.tobytes() == ref_flat.tobytes()
 
 
 class TestOptimalBounds:
