@@ -129,7 +129,7 @@ def _bounds_or_optimal(
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=1e-9, help="certification tolerance")
+    parser.add_argument("--tol", type=_at_least(0.0), default=1e-9, help="certification tolerance")
     # Accepted and ignored, since every decision is exact; existing scripts
     # (the benchmark's algebra-bounds workload among them) still pass them.
     parser.add_argument("--samples", type=int, default=None, help=argparse.SUPPRESS)
@@ -152,15 +152,19 @@ class _Parser(argparse.ArgumentParser):
         raise ArgumentParseError(message)
 
 
-def _int_at_least(least: int):
-    """An argparse ``type`` that reads an integer and names its flag when below ``least``."""
-    def int_(text: str) -> int:
-        value = int(text)
-        if value < least:
-            raise argparse.ArgumentTypeError(f"must be an integer at least {least}, got {value}")
+def _at_least(least: int | float):
+    """An argparse ``type`` that reads a number of ``least``'s type and names its
+    flag when it is below ``least``, NaN or infinite."""
+    kind = type(least)
+
+    def read(text: str):
+        value = kind(text)
+        if not least <= value < math.inf:
+            what = "an integer" if kind is int else "a finite number"
+            raise argparse.ArgumentTypeError(f"must be {what} at least {least:g}, got {value}")
         return value
-    int_.__name__ = "int"  # argparse's "invalid int value: 'x'" for a non-integer
-    return int_
+    read.__name__ = kind.__name__  # argparse's "invalid int value: 'x'" for a non-number
+    return read
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,11 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a reproducible instance file")
     p_gen.add_argument("--kind", choices=spec_io.GENERATOR_KINDS, required=True)
-    p_gen.add_argument("--dim", type=_int_at_least(1), default=2, help="algebra dimension d")
-    p_gen.add_argument("--rank", type=_int_at_least(1), default=2, help="module rank n")
-    p_gen.add_argument("--count", type=_int_at_least(1), default=3, help="family member count")
+    p_gen.add_argument("--dim", type=_at_least(1), default=2, help="algebra dimension d")
+    p_gen.add_argument("--rank", type=_at_least(1), default=2, help="module rank n")
+    p_gen.add_argument("--count", type=_at_least(1), default=3, help="family member count")
     p_gen.add_argument("--spec-out", required=True, help="instance file to write")
-    p_gen.add_argument("--seed", type=_int_at_least(0), default=0, help="generator seed")
+    p_gen.add_argument("--seed", type=_at_least(0), default=0, help="generator seed")
     _add_common(p_gen)
 
     for name, helptext in (
@@ -248,10 +252,7 @@ def _cmd_dual(args, report: RunReport) -> int:
     spec = spec_io.load_spec(args.spec)
     family = _family(spec)
     target = _target(spec)
-    if args.method == "canonical":
-        dual = canonical_dual(family, target, cond_cap=spec.tolerances.get("cond_cap", 1e12))
-    else:
-        dual = minimal_dual(family, target, rank_tol=spec.tolerances.get("rank_tol", 1e-12))
+    dual = (canonical_dual if args.method == "canonical" else minimal_dual)(family, target)
     pair = verify_dual(family, dual, target, tol=args.tol)
     report.verdicts = {"verified": pair.verified, "method": args.method}
     report.residuals = {

@@ -3,9 +3,12 @@
 A family {G_i} is a dual of {L_i} for the target K when K f = sum_i L_i* G_i f
 for every f.  In finite dimensions that holds for all f iff the assembled
 operators coincide, so verification compares sum_i flat(G_i) flat(L_i)^H
-against flat(K) exactly rather than by sampling.  The canonical dual's
-S^{-1} and condition check and the dual's Bessel bound read the family's
-one cached ``OperatorFamily.spectrum``; the Bessel bound only when asked for.
+against flat(K) exactly rather than by sampling.
+
+Both duals are one construction, K S^+ T (T the analysis operator), with S^+
+read from the family's cached ``OperatorFamily.spectrum`` under the one kernel
+rule, so they agree bit for bit when S is invertible.  The dual's Bessel bound
+reads the dual family's spectrum, only when asked for.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import algebra
 from .errors import NoInclusionError, ShapeMismatchError, SingularFrameOperatorError
-from .frames import OperatorFamily, analysis_operator, synthesis_operator
-from .operators import ModuleOperator, compose, douglas_check, operator_norm
+from .frames import OperatorFamily, _target_gram, analysis_operator
+from .operators import KERNEL_RTOL, ModuleOperator, compose, kernel_reach, operator_norm, range_mask
 
 
 @dataclass
@@ -37,7 +41,7 @@ class DualPair:
     @property
     def dual_bessel_bound(self) -> float:
         """Optimal upper (Bessel) scalar of the dual family (finite), read on access."""
-        return float(np.sqrt(max(float(self.dual_family.spectrum[0][-1]), 0.0)))
+        return self.dual_family.bessel_bound
 
 
 def _check_pair_shapes(L: OperatorFamily, G: OperatorFamily, K: ModuleOperator) -> None:
@@ -49,11 +53,6 @@ def _check_pair_shapes(L: OperatorFamily, G: OperatorFamily, K: ModuleOperator) 
         raise ShapeMismatchError("families must share per-index target ranks")
     if K.dim != L.dim or not K.is_endomorphism() or K.source_rank != L.source_rank:
         raise ShapeMismatchError("target must be an endomorphism of the source module")
-
-
-def _member_blocks(flat: np.ndarray, F: OperatorFamily) -> list[np.ndarray]:
-    """Column blocks of a source x codomain matrix, one per member of F."""
-    return np.split(flat, np.cumsum([m.target_rank * F.dim for m in F.members])[:-1], axis=1)
 
 
 def reconstruction_operator(L: OperatorFamily, G: OperatorFamily) -> ModuleOperator:
@@ -82,46 +81,38 @@ def verify_dual(
     )
 
 
-def canonical_dual(
-    L: OperatorFamily, K: ModuleOperator, cond_cap: float = 1e12
-) -> OperatorFamily:
-    """The dual {L_i S^{-1} K} built from the inverse frame operator.
-
-    Invertibility of S is checked numerically against the condition-number
-    cap; it is never assumed from surjectivity of K.  The family's cached
-    ``spectrum`` gives both: cond(S) = w_max / w_min and S^{-1} = (V/w) V^H.
-    """
+def _dual(L: OperatorFamily, K: ModuleOperator, keep: np.ndarray) -> OperatorFamily:
+    """The members L_i S^+ K: S^+ = (V/w) V^H over the eigenvalues ``keep`` marks."""
     w, v = L.spectrum
-    if w[0] <= 0 or w[-1] / w[0] > cond_cap:
-        raise SingularFrameOperatorError(
-            f"frame operator condition number exceeds cap ({cond_cap:.1e})"
-        )
-    s_inv = (v / w) @ np.conj(v.T)
-    # Member action x -> L_i(S^{-1}(K x)) flattens to flat(K) S^{-1} flat(L_i).
-    prefix = ModuleOperator(K.dim, K.source_rank, K.target_rank, K.flat @ s_inv)
+    s_pinv = np.divide(v, w, out=np.zeros_like(v), where=keep) @ np.conj(v.T)
+    # Member action x -> L_i(S^+(K x)) flattens to flat(K) S^+ flat(L_i).
+    prefix = ModuleOperator(K.dim, K.source_rank, K.target_rank, K.flat @ s_pinv)
     return OperatorFamily([compose(prefix, m) for m in L.members])
 
 
-def minimal_dual(
-    L: OperatorFamily, K: ModuleOperator, rank_tol: float = 1e-12
-) -> OperatorFamily:
-    """Minimal-Frobenius-norm dual via the pre-frame factorization.
+def canonical_dual(L: OperatorFamily, K: ModuleOperator) -> OperatorFamily:
+    """The dual {L_i S^{-1} K}, for S invertible under the kernel rule: every
+    eigenvalue of S above ``KERNEL_RTOL`` times its largest, so cond(S) <= 1e12.
+    Invertibility is checked, never assumed from surjectivity of K."""
+    keep = range_mask(L.spectrum[0])
+    if not keep.all():
+        raise SingularFrameOperatorError(
+            f"frame operator condition number exceeds cap ({1 / KERNEL_RTOL:.1e})"
+        )
+    return _dual(L, K, keep)
 
-    Every dual corresponds to a pre-frame operator eta with theta* eta = K
-    (theta the analysis operator of L); the minimal-norm solution is
-    flat(K) pinv(flat(theta*)) and its column blocks are the dual members.
-    Raises ``NoInclusionError`` when range(K) is not inside range(theta*),
-    in which case no dual exists in this representation.
-    """
-    theta_star = synthesis_operator(L)
-    report = douglas_check(K, theta_star)
-    if not report.range_included:
+
+def minimal_dual(L: OperatorFamily, K: ModuleOperator) -> OperatorFamily:
+    """The minimal-Frobenius-norm dual {L_i S^+ K}, for S of any rank.
+
+    Every dual is a pre-frame operator eta with theta* eta = K (theta the
+    analysis operator of L); the minimal-norm one is K S^+ theta.  It exists
+    when range(K) lies in range(theta*) = range(S), that is when flat(KK*) does
+    not reach S's kernel, the test that makes alpha positive; else this raises
+    ``NoInclusionError``."""
+    if kernel_reach(algebra.hermitian_part(_target_gram(K)), L.spectrum) is not None:
         raise NoInclusionError("range(K) is not contained in range of the synthesis operator")
-    eta_flat = K.flat @ np.linalg.pinv(theta_star.flat, rcond=rank_tol)
-    blocks = _member_blocks(eta_flat, L)
-    return OperatorFamily(
-        [ModuleOperator(L.dim, L.source_rank, m.target_rank, b) for m, b in zip(L.members, blocks)]
-    )
+    return _dual(L, K, range_mask(L.spectrum[0]))
 
 
 @dataclass
@@ -158,8 +149,7 @@ def preframe_consistency(P: DualPair, eta: ModuleOperator | None = None) -> Pref
     ):
         raise ShapeMismatchError("eta must map the source module into the family codomain")
     target_dev = float(np.linalg.norm(eta.flat @ np.conj(theta.flat.T) - K.flat, 2))
-    devs = [
-        float(np.linalg.norm(block - g.flat, 2))
-        for g, block in zip(G.members, _member_blocks(eta.flat, G))
-    ]
+    cuts = np.cumsum([m.target_rank * G.dim for m in G.members])[:-1]  # eta's member blocks
+    blocks = np.split(eta.flat, cuts, axis=1)
+    devs = [float(np.linalg.norm(block - g.flat, 2)) for g, block in zip(G.members, blocks)]
     return PreframeReport(target_deviation=target_dev, member_deviations=devs)

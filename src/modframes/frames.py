@@ -99,6 +99,11 @@ class OperatorFamily:
             self._spectrum = np.linalg.eigh(algebra.hermitian_part(self.gram))
         return self._spectrum
 
+    @property
+    def bessel_bound(self) -> float:
+        """The optimal Bessel (upper) scalar beta: sqrt of the largest eigenvalue of S."""
+        return math.sqrt(max(float(self.spectrum[0][-1]), 0.0))
+
 
 @dataclass
 class FrameBounds:
@@ -334,13 +339,11 @@ def optimal_scalar_bounds(F: OperatorFamily, K: ModuleOperator) -> tuple[float, 
 
     alpha^2 = 1 / pencil_max(flat(KK*), S_hat) with S_hat the flattened frame
     operator (inf when K vanishes, 0 when flat(KK*) reaches the kernel of
-    S_hat); beta^2 is the frame operator's largest eigenvalue.  Both read
-    the family's cached ``spectrum``.
+    S_hat); beta^2 is the frame operator's largest eigenvalue
+    (``F.bessel_bound``).  Both read the family's cached ``spectrum``.
     """
     lam = pencil_max(_target_gram(K), F.spectrum)[0]
-    alpha = math.inf if lam == 0.0 else math.sqrt(1.0 / lam)
-    beta = math.sqrt(max(float(F.spectrum[0][-1]), 0.0))
-    return alpha, beta
+    return (math.inf if lam == 0.0 else math.sqrt(1.0 / lam)), F.bessel_bound
 
 
 @dataclass

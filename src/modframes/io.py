@@ -6,15 +6,15 @@ matrices as row-major nested lists.  Operators are stored blockwise: a
 The same helpers serialize vectors and bounds for CLI reports.  A spec is
 written compact, ``json.dumps(spec, sort_keys=True)`` and a newline, and read
 in any layout; floats are spelled in shortest round-trip repr, so a round
-trip is byte-stable.
+trip is byte-stable.  A spec sets no tolerance; a ``tolerances`` field loads
+only as ``gen`` once wrote it, since the duals' kernel rule is fixed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .duals import canonical_dual
 from .errors import ModframesError
 from .frames import FrameBounds, OperatorFamily, optimal_scalar_bounds
 from .module import ModuleVector
-from .operators import ModuleOperator, compose, random_operator
+from .operators import KERNEL_RTOL, ModuleOperator, compose, random_operator
 
 
 class SpecFormatError(ModframesError, ValueError):
@@ -77,24 +77,24 @@ def _as_int(value, path: str, least: int = 1) -> int:
     return value
 
 
-def _as_positive(value, path: str, cap: float = sys.float_info.max) -> float:
-    """A positive JSON number at most ``cap``: no bool, string, list or NaN."""
+def _as_positive(value, path: str) -> float:
+    """A positive JSON number at most ``MAX_ENTRY``: no bool, string, list or NaN."""
     try:
-        if type(value) in (int, float) and 0 < float(value) <= cap:
+        if type(value) in (int, float) and 0 < float(value) <= MAX_ENTRY:
             return float(value)
     except OverflowError:  # an integer beyond the float range
         pass
     raise SpecFormatError(
-        f"{path}: must be a finite positive number at most {cap:g}, got {value!r}"
+        f"{path}: must be a finite positive number at most {MAX_ENTRY:g}, got {value!r}"
     )
 
 
-def _known(data: dict, keys, prefix: str, note: str = "") -> None:
+def _known(data: dict, keys, prefix: str) -> None:
     """Reject the first key of ``data`` outside ``keys``, named by its path."""
     extra = sorted(data.keys() - set(keys))
     if extra:
         known = ", ".join(keys)
-        raise SpecFormatError(f"{prefix}{extra[0]}: unknown key, not one of {known}{note}")
+        raise SpecFormatError(f"{prefix}{extra[0]}: unknown key, not one of {known}")
 
 
 def encode_matrix(mat: np.ndarray) -> list:
@@ -148,7 +148,7 @@ def decode_bounds(data, dim: int, path: str = "bounds") -> FrameBounds:
         raise SpecFormatError(f"{path}.mode: must be 'scalar' or 'algebra'")
     scalar = data["mode"] == "scalar"
     lower, upper = (
-        _as_positive(data.get(k), f"{path}.{k}", MAX_ENTRY) if scalar
+        _as_positive(data.get(k), f"{path}.{k}") if scalar
         else _complex_nest(data.get(k), (dim, dim), f"{path}.{k}") for k in ("lower", "upper")
     )
     bounds = (FrameBounds.scalar(lower, upper, dim) if scalar
@@ -177,12 +177,19 @@ def _family(data, dim: int, rank: int, path: str, like=None) -> list[ModuleOpera
     return ops
 
 
-def _tolerances(data, path: str) -> dict[str, float]:
-    if not isinstance(data, dict):
-        raise SpecFormatError(f"{path}: expected an object, got {data!r}")
-    values = {k: _as_positive(v, f"{path}.{k}") for k, v in data.items()}
-    _known(data, _DEFAULT_TOLERANCES, f"{path}.", "; the certification tolerance is --tol")
-    return values
+# What ``gen`` wrote as ``tolerances`` until the duals' rank rule became the kernel rule.
+_LEGACY_TOLERANCES = {"cond_cap": 1e12, "rank_tol": 1e-12}
+
+
+def _legacy_tolerances(data, path: str) -> None:
+    """Accept exactly the legacy ``tolerances``; otherwise name the first key at fault."""
+    if data != _LEGACY_TOLERANCES:
+        legacy = _LEGACY_TOLERANCES
+        where = path if not isinstance(data, dict) else f"{path}." + min(
+            k for k in data.keys() | legacy.keys() if k not in data or data[k] != legacy.get(k))
+        raise SpecFormatError(f"{where}: the kernel rule is fixed at {KERNEL_RTOL:g} of the "
+                              f"largest eigenvalue, so a spec may carry only what gen once wrote, "
+                              f"{json.dumps(legacy)}; the certification tolerance is --tol")
 
 
 @dataclass
@@ -197,7 +204,6 @@ class FrameSpecFile:
     aux_operator: ModuleOperator | None = None
     bounds: FrameBounds | None = None
     seed: int | None = None
-    tolerances: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -215,8 +221,6 @@ class FrameSpecFile:
             out["bounds"] = encode_bounds(self.bounds)
         if self.seed is not None:
             out["seed"] = self.seed
-        if self.tolerances:
-            out["tolerances"] = dict(sorted(self.tolerances.items()))
         return out
 
     @classmethod
@@ -247,10 +251,11 @@ class FrameSpecFile:
             "bounds": lambda value, path: decode_bounds(value, dim, path),
             # The seed records how ``gen`` made the file; no decision reads it.
             "seed": lambda value, path: _as_int(value, path, least=0),
-            "tolerances": _tolerances,
         }
         read = {key: optional[key](data[key], key) for key in optional if data.get(key) is not None}
-        _known(data, ("algebra_dim", "module_rank", "operators", *optional), "")
+        if data.get("tolerances") is not None:
+            _legacy_tolerances(data["tolerances"], "tolerances")
+        _known(data, ("algebra_dim", "module_rank", "operators", *optional, "tolerances"), "")
         return cls(dim, rank, operators, **read)
 
     def to_json(self) -> str:
@@ -295,9 +300,6 @@ def _reject_bool_pair(data, path: str) -> None:
 
 GENERATOR_KINDS = ("tight", "known-bounds", "bessel-only", "perturbed-pair", "dual-pair")
 
-# The tolerances a spec may set, both read by ``dual``; --tol is not one of them.
-_DEFAULT_TOLERANCES = {"cond_cap": 1e12, "rank_tol": 1e-12}
-
 
 def _random_family(
     dim: int, rank: int, count: int, rng: np.random.Generator
@@ -332,13 +334,7 @@ def generate_instance(
     members = _random_family(d, n, count, rng)
     family = OperatorFamily(members)
     eye = ModuleOperator.identity(d, n)
-    spec = FrameSpecFile(
-        algebra_dim=d,
-        module_rank=n,
-        operators=members,
-        seed=seed,
-        tolerances=dict(_DEFAULT_TOLERANCES),
-    )
+    spec = FrameSpecFile(algebra_dim=d, module_rank=n, operators=members, seed=seed)
 
     if kind == "tight":
         w, v = family.spectrum
@@ -355,11 +351,10 @@ def generate_instance(
         vec = rng.standard_normal(n * d) + 1j * rng.standard_normal(n * d)
         vec /= np.linalg.norm(vec)
         proj = ModuleOperator(d, n, n, np.eye(n * d) - np.outer(vec, np.conj(vec)))
-        dead = [compose(proj, m) for m in members]
-        _, beta = optimal_scalar_bounds(OperatorFamily(dead), eye)
-        spec.operators = dead
+        dead = OperatorFamily([compose(proj, m) for m in members])
+        spec.operators = dead.members
         spec.target_operator = eye
-        spec.bounds = FrameBounds.scalar(0.1, beta * (1 + 1e-6), d)
+        spec.bounds = FrameBounds.scalar(0.1, dead.bessel_bound * (1 + 1e-6), d)
     elif kind == "perturbed-pair":
         alpha, beta = optimal_scalar_bounds(family, eye)
         noise = [random_operator(d, n, m.target_rank, rng, scale=1e-3) for m in members]

@@ -8,10 +8,11 @@ Every operation here (pseudoinverse, range-inclusion tests, the
 majorization/factorization equivalence, the pencil extremum) is therefore
 plain dense linear algebra on the flattened matrices.
 
-``pencil_max`` is the only pencil routine, so the optimal lower frame bound
-and the perturbation constant share its kernel rule (``range_mask``).  It
-takes s as its ``eigh``, a frame operator's cached ``OperatorFamily.spectrum``;
-``pencil_alpha_flat`` is the entry for a raw matrix s.
+``pencil_max`` is the only pencil routine, so the optimal lower frame bound,
+the perturbation constant and the minimal dual share its kernel rule
+(``range_mask``, ``kernel_reach``).  It takes s as its ``eigh``, a frame
+operator's cached ``OperatorFamily.spectrum``; ``pencil_alpha_flat`` is the
+entry for a raw matrix s.
 """
 
 from __future__ import annotations
@@ -251,25 +252,34 @@ def range_mask(w: np.ndarray) -> np.ndarray:
     return w > KERNEL_RTOL * max(float(w[-1]), 0.0)
 
 
+def kernel_reach(p: np.ndarray, spectrum: tuple) -> np.ndarray | None:
+    """The kernel rule's test for Hermitian PSD p and s = ``spectrum`` (its ``eigh``):
+    None unless p reaches s's kernel, else the kernel direction where p is largest."""
+    w, v = spectrum
+    v0 = v[:, ~range_mask(w)]
+    p0 = np.conj(v0.T) @ p @ v0
+    if float(np.trace(p0).real) > KERNEL_RTOL * float(np.trace(p).real):
+        return v0 @ np.linalg.eigh(algebra.hermitian_part(p0))[1][:, -1]
+    return None
+
+
 def pencil_max(p: np.ndarray, spectrum: tuple[np.ndarray, np.ndarray]) -> tuple[float, np.ndarray]:
     """lambda_max(p, s) = sup_x x* p x / x* s x for PSD p, s, with a maximiser x.
 
     ``spectrum`` is ``(w, v) = eigh`` of s's Hermitian part.  The one kernel
     rule: s splits along ``range_mask(w)``.  When p reaches the kernel the
-    supremum is ``inf`` and x is the kernel direction where p is largest;
-    otherwise it is the largest eigenvalue of p whitened on the range of s.
+    supremum is ``inf`` and x is ``kernel_reach``'s direction; otherwise it
+    is the largest eigenvalue of p whitened on the range of s.
     A zero p gives 0 with x = e_1.
     """
     p = algebra.hermitian_part(p)
     if not np.any(p):
         return 0.0, np.eye(len(p))[0]
+    x = kernel_reach(p, spectrum)
+    if x is not None:
+        return math.inf, x
     w, v = spectrum
     keep = range_mask(w)
-    v0 = v[:, ~keep]
-    p0 = np.conj(v0.T) @ p @ v0
-    if float(np.trace(p0).real) > KERNEL_RTOL * float(np.trace(p).real):
-        _, y = np.linalg.eigh(algebra.hermitian_part(p0))
-        return math.inf, v0 @ y[:, -1]
     whiten = v[:, keep] / np.sqrt(w[keep])[None, :]
     lam, y = np.linalg.eigh(algebra.hermitian_part(np.conj(whiten.T) @ p @ whiten))
     return max(float(lam[-1]), 0.0), whiten @ y[:, -1]

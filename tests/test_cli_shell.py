@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modframes import cli, generate_instance, load_spec, save_spec
+from modframes import FrameBounds, cli, generate_instance, load_spec, save_spec
 from modframes import io as spec_io
 from modframes.cli import RunReport, run_command
 from modframes.io import GENERATOR_KINDS, FrameSpecFile
@@ -181,7 +181,27 @@ def test_spec_in_any_layout_loads_bitwise(tmp_path, kind):
     assert len(laid_out.read_text(encoding="utf-8")) > 2 * len(text)
     old, new = load_spec(laid_out), load_spec(compact)
     assert _arrays(old) == _arrays(new) == _arrays(spec)
-    assert (old.seed, old.tolerances) == (new.seed, new.tolerances)
+    assert old.seed == new.seed and old.to_json() == new.to_json() == text
+
+
+@pytest.mark.parametrize("kind", ["known-bounds", "dual-pair", "bessel-only"])
+def test_old_gen_layout_with_tolerances_gives_the_same_dual(tmp_path, capsys, kind):
+    """A spec as gen wrote it before the kernel rule was fixed (indent=2, with
+    ``tolerances``) loads to the same arrays and gives the same dual reports."""
+    spec = generate_instance(kind, 2, 3, 4, seed=6)
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    save_spec(spec, new)
+    legacy = {**spec.to_dict(), "tolerances": {"cond_cap": 1e12, "rank_tol": 1e-12}}
+    old.write_text(json.dumps(legacy, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    assert _arrays(load_spec(old)) == _arrays(load_spec(new)) == _arrays(spec)
+    for method in ("canonical", "minimal"):
+        reports = []
+        for path in (old, new):
+            code, _ = run_command(["dual", str(path), "--method", method])
+            out = json.loads(capsys.readouterr().out)
+            reports.append((code, {k: v for k, v in out.items() if k != "command"}))
+        assert reports[0] == reports[1]
+        assert reports[0][0] == (4 if kind == "bessel-only" else 0)
 
 
 # -- one array per operator --------------------------------------------------
@@ -436,6 +456,41 @@ def test_gen_integer_flags_take_their_least_value(tmp_path):
     code, report = run_command([*argv, "--spec-out", str(path), "--out", str(tmp_path / "r")])
     assert code == 0 and report.seed == 0
     assert path.read_text(encoding="utf-8") == generate_instance("tight", 1, 1, 1, 0).to_json()
+
+
+def _falsified_spec(tmp_path) -> str:
+    """A known-bounds spec with its upper bound cut to 0.9 beta: verify falsifies it."""
+    spec = generate_instance("known-bounds", 2, 2, 3, seed=7)
+    spec.bounds = FrameBounds.scalar(spec.bounds.alpha, 0.9 * spec.bounds.beta, 2)
+    path = tmp_path / "cut.json"
+    save_spec(spec, path)
+    return str(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+def test_tol_must_be_finite_and_at_least_zero(tmp_path, capsys, value):
+    """NaN and inf would make every margin pass (min(gap) < -tol is false), so
+    a falsified spec would read certified; the parser rejects them, naming --tol."""
+    spec = _falsified_spec(tmp_path)
+    assert run_command(["verify", spec])[0] == 1
+    capsys.readouterr()
+    for sub in ("verify", "dual", "perturb", "douglas"):
+        code, report = run_command([sub, spec, f"--tol={value}"])
+        message = f"argument --tol: must be a finite number at least 0, got {float(value)}"
+        assert code == 3 and report.subcommand == "parse-error"
+        assert report.error == f"argument parsing failed: {message}"
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    code, report = run_command(["tensor", spec, spec, "--tol", value])
+    assert code == 3 and report.error.startswith("argument parsing failed: argument --tol:")
+
+
+def test_tol_zero_accepted(tmp_path, capsys):
+    spec = _falsified_spec(tmp_path)
+    code, report = run_command(["verify", spec, "--tol", "0"])
+    assert code == 1 and report.verdicts["certificate"] == "falsified"
+    assert run_command(["bounds", spec, "--tol", "0.0"])[0] == 0
+    code, report = run_command(["verify", spec, "--tol", "x"])
+    assert code == 3 and report.error.endswith("argument --tol: invalid float value: 'x'")
 
 
 def test_help_still_exits_zero(capsys):

@@ -15,6 +15,7 @@ from modframes import (
     generate_instance,
     minimal_dual,
     operator_norm,
+    optimal_scalar_bounds,
     preframe_consistency,
     random_operator,
     synthesis_operator,
@@ -100,7 +101,7 @@ class TestCanonicalDual:
         # one rank-1 member on a rank-2 module cannot span
         member = random_operator(2, 2, 1, rng)
         fam = OperatorFamily([member])
-        with pytest.raises(SingularFrameOperatorError):
+        with pytest.raises(SingularFrameOperatorError, match=r"exceeds cap \(1\.0e\+12\)$"):
             canonical_dual(fam, ModuleOperator.identity(2, 2))
 
     @pytest.mark.parametrize("cond, accepted", [(1e11, True), (1e13, False)])
@@ -168,6 +169,85 @@ class TestMinimalDual:
         k = random_operator(2, 3, 3, rng)
         pair = verify_dual(fam, minimal_dual(fam, k), k)
         assert pair.verified
+
+
+def singular_k_frame(rng) -> tuple[OperatorFamily, ModuleOperator]:
+    """A random family with a singular frame operator, d*n >= 2, and a target K
+    that is random (no dual), zero, or random on the range of S (a dual exists)."""
+    while True:
+        d, n = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        if d * n >= 2:
+            break
+    if n >= 2 and rng.integers(2):  # too few target ranks to span
+        ranks = [int(rng.integers(1, n)) for _ in range(int(rng.integers(1, 3)))]
+        while sum(ranks) >= n:
+            ranks = ranks[:-1] or [n - 1]
+        fam = OperatorFamily([random_operator(d, n, r, rng) for r in ranks])
+    else:  # members killing a common dead direction
+        u = rng.standard_normal(n * d) + 1j * rng.standard_normal(n * d)
+        u /= np.linalg.norm(u)
+        proj = ModuleOperator(d, n, n, np.eye(n * d) - np.outer(u, np.conj(u)))
+        members = random_family(d, n, int(rng.integers(1, 5)), rng).members
+        fam = OperatorFamily([compose(proj, m) for m in members])
+    k = random_operator(d, n, n, rng)
+    kind = int(rng.choice(3, p=[0.4, 0.1, 0.5]))
+    if kind == 1:
+        k = ModuleOperator.zero(d, n, n)
+    elif kind == 2:  # rows of flat(K) in the range of S: K = K P_range
+        w, v = np.linalg.eigh(frame_operator(fam).flat)
+        vr = v[:, w > 1e-9 * w[-1]]
+        k = ModuleOperator(d, n, n, k.flat @ vr @ np.conj(vr.T))
+    return fam, k
+
+
+class TestOneConstruction:
+    """Both duals are K S^+ T from the cached spectrum under the one kernel rule."""
+
+    def test_minimal_matches_pinv_oracle_on_singular_frames(self):
+        rng = make_rng(15)
+        raised = built = 0
+        for _ in range(150):
+            fam, k = singular_k_frame(rng)
+            assert np.linalg.matrix_rank(frame_operator(fam).flat) < fam.source_rank * fam.dim
+            alpha = optimal_scalar_bounds(fam, k)[0]
+            try:
+                dual = minimal_dual(fam, k)
+            except NoInclusionError:
+                assert alpha == 0.0
+                raised += 1
+                continue
+            assert alpha != 0.0
+            built += 1
+            # oracle: eta = K pinv(T*), its column blocks the members
+            t_star = np.conj(analysis_operator(fam).flat.T)
+            eta = k.flat @ np.linalg.pinv(t_star, rcond=1e-8)
+            got = analysis_operator(dual).flat
+            assert np.linalg.norm(got - eta) <= 1e-12 * max(np.linalg.norm(eta), 1e-300)
+            assert verify_dual(fam, dual, k).verified
+        assert raised >= 30 and built >= 60
+
+    def test_invertible_frames_give_bitwise_equal_duals(self):
+        rng = make_rng(16)
+        for _ in range(40):
+            d, n = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            fam = random_family(d, n, int(rng.integers(1, 6)), rng)
+            k = random_operator(d, n, n, rng)
+            canonical, minimal = canonical_dual(fam, k), minimal_dual(fam, k)
+            for a, b in zip(canonical.members, minimal.members):
+                assert a.flat.tobytes() == b.flat.tobytes()
+
+    def test_no_svd_or_pinv(self, monkeypatch):
+        """The minimal dual reads the cached spectrum: no SVD, pinv or eigvalsh."""
+        spec = generate_instance("known-bounds", 4, 4, 8, seed=3)
+        fam = OperatorFamily(spec.operators)
+
+        def banned(*args, **kwargs):
+            raise AssertionError("the dual decomposes S only through its cached spectrum")
+
+        for name in ("svd", "pinv", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, banned)
+        assert verify_dual(fam, minimal_dual(fam, spec.target_operator),
+                           spec.target_operator).verified
 
 
 class TestPreframeConsistency:

@@ -175,6 +175,11 @@ def _write_with_literal(tmp_path, data, keys, literal):
     return path
 
 
+def _with_legacy_tolerances(spec: FrameSpecFile) -> dict:
+    """The spec's data as gen wrote it until the kernel rule was fixed."""
+    return {**spec.to_dict(), "tolerances": {"cond_cap": 1e12, "rank_tol": 1e-12}}
+
+
 _KNOWN_BOUNDS = generate_instance("known-bounds", 2, 2, 2, seed=1)
 _KB = _KNOWN_BOUNDS.to_dict()
 # Each literal spells the field's own value, or one that int() or float()
@@ -231,6 +236,8 @@ class TestInputBoundary:
         assert code == 3 and report.error.startswith(f"SpecFormatError: {field}:")
         assert capfd.readouterr().err == ""
 
+    # ``tolerances`` is legacy: a spec may carry exactly what gen once wrote,
+    # and any other content exits 3 naming its first key at fault.
     @pytest.mark.parametrize(
         "key, literal",
         [
@@ -245,10 +252,12 @@ class TestInputBoundary:
         ids=["list", "nan-string", "negative", "bool", "zero", "float-overflow", "int-overflow"],
     )
     def test_tolerance_must_be_finite_positive_number(self, tmp_path, key, literal, capfd):
-        data = json.loads(generate_instance("dual-pair", 2, 2, 3, seed=2).to_json())
+        """Every value other than the legacy one is rejected, the non-numbers too."""
+        data = _with_legacy_tolerances(generate_instance("dual-pair", 2, 2, 3, seed=2))
         path = _write_with_literal(tmp_path, data, ("tolerances", key), literal)
-        with pytest.raises(SpecFormatError, match="finite positive number"):
+        with pytest.raises(SpecFormatError, match="kernel rule is fixed") as err:
             load_spec(path)
+        assert str(err.value).startswith(f"tolerances.{key}: ")
         for method in ("canonical", "minimal"):
             code, report = run_command(["dual", str(path), "--method", method])
             assert code == 3 and report.error.startswith(f"SpecFormatError: tolerances.{key}:")
@@ -258,15 +267,32 @@ class TestInputBoundary:
         "key, literal", [("tol", "1e-09"), ("cond", "1000000000000.0"), ("seed", "3")]
     )
     def test_tolerances_hold_only_cond_cap_and_rank_tol(self, tmp_path, key, literal, capfd):
-        data = json.loads(generate_instance("dual-pair", 2, 2, 3, seed=2).to_json())
+        data = _with_legacy_tolerances(generate_instance("dual-pair", 2, 2, 3, seed=2))
         path = _write_with_literal(tmp_path, data, ("tolerances", key), literal)
-        with pytest.raises(SpecFormatError, match="--tol") as err:
+        with pytest.raises(SpecFormatError, match="the certification tolerance is --tol") as err:
             load_spec(path)
-        assert str(err.value).startswith(f"tolerances.{key}: unknown key")
+        assert str(err.value).startswith(f"tolerances.{key}: ")
         for sub, *extra in (["dual", "--method", "canonical"], ["dual", "--method", "minimal"],
                             ["verify"]):
             code, report = run_command([sub, str(path), *extra])
             assert code == 3 and report.error.startswith(f"SpecFormatError: tolerances.{key}:")
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "tolerances, key",
+        [({"cond_cap": 1e6}, "cond_cap"), ({"cond_cap": 1e12, "rank_tol": 1e-8}, "rank_tol"),
+         ({"rank_tol": 1e-12}, "cond_cap"), ({}, "cond_cap")],
+        ids=["cond_cap-1e6", "rank_tol-1e-8", "cond_cap-missing", "empty"],
+    )
+    def test_other_tolerances_exit_3(self, tmp_path, tolerances, key, capfd):
+        data = {**generate_instance("dual-pair", 2, 2, 3, seed=2).to_dict(),
+                "tolerances": tolerances}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        for method in ("canonical", "minimal"):
+            code, report = run_command(["dual", str(path), "--method", method])
+            assert code == 3 and report.error.startswith(f"SpecFormatError: tolerances.{key}: ")
+            assert "kernel rule is fixed at 1e-12" in report.error
         assert capfd.readouterr().err == ""
 
     @pytest.mark.parametrize(
@@ -296,14 +322,16 @@ class TestInputBoundary:
         data = json.loads(generate_instance("dual-pair", 2, 2, 3, seed=2).to_json())
         path = _write_with_literal(tmp_path, data, ("tolerances",), literal)
         code, report = run_command(["dual", str(path)])
-        assert code == 3 and report.error.startswith("SpecFormatError: tolerances: expected")
+        assert code == 3 and report.error.startswith("SpecFormatError: tolerances: ")
+        assert "kernel rule is fixed" in report.error
         assert capfd.readouterr().err == ""
 
     def test_integer_tolerance_accepted(self, tmp_path):
-        data = json.loads(generate_instance("dual-pair", 2, 2, 3, seed=2).to_json())
+        """The legacy values spelled as integers equal them, so they load too."""
+        data = _with_legacy_tolerances(generate_instance("dual-pair", 2, 2, 3, seed=2))
         path = _write_with_literal(tmp_path, data, ("tolerances", "cond_cap"), "1000000000000")
         spec = load_spec(path)
-        assert spec.tolerances["cond_cap"] == 1e12 and type(spec.tolerances["cond_cap"]) is float
+        assert spec.to_json() == generate_instance("dual-pair", 2, 2, 3, seed=2).to_json()
         assert run_command(["dual", str(path)])[0] == 0
 
     @pytest.mark.parametrize("keys, field, literal", _NOT_JSON_NUMBERS)
@@ -428,9 +456,13 @@ class TestGenerators:
         assert a.to_json() == b.to_json()
 
     @pytest.mark.parametrize("kind", GENERATOR_KINDS)
-    def test_generated_tolerances_are_the_read_ones(self, kind):
+    def test_generated_tolerances_are_the_read_ones(self, tmp_path, kind):
+        """gen writes no tolerances; the ones it once wrote still load, to the same spec."""
         spec = generate_instance(kind, 2, 2, 3, seed=12)
-        assert spec.tolerances == {"cond_cap": 1e12, "rank_tol": 1e-12}
+        assert "tolerances" not in spec.to_dict()
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps(_with_legacy_tolerances(spec)), encoding="utf-8")
+        assert load_spec(path).to_json() == spec.to_json()
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -766,8 +798,11 @@ class TestOneSpectrumPerFamily:
             ("perturb", "perturbed-pair", False, 2, 10),
             ("bounds", "known-bounds", True, 1, 2),
             ("verify", "known-bounds", False, 1, 3),
+            ("dual", "known-bounds", True, 2, 2),
+            ("dual --method minimal", "known-bounds", True, 2, 2),
         ],
-        ids=["perturb", "perturb-no-file-bounds", "bounds", "verify-no-file-bounds"],
+        ids=["perturb", "perturb-no-file-bounds", "bounds", "verify-no-file-bounds",
+             "dual-canonical", "dual-minimal"],
     )
     def test_counts(self, tmp_path, monkeypatch, sub, kind, file_bounds, grams, max_solves):
         spec = generate_instance(kind, 2, 2, 3, seed=4)
@@ -775,7 +810,8 @@ class TestOneSpectrumPerFamily:
             spec.bounds = None
         path = tmp_path / "spec.json"
         save_spec(spec, path)
-        counts = _count_calls(monkeypatch, [sub, str(path)])
+        sub, *flags = sub.split()
+        counts = _count_calls(monkeypatch, [sub, str(path), *flags])
         assert counts["gram"] == grams
         assert counts["solves"] <= max_solves
 
