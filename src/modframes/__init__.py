@@ -26,7 +26,6 @@ from .errors import (
     NotPositiveError,
     ShapeMismatchError,
     SingularFrameOperatorError,
-    ToleranceConflictError,
 )
 from .frames import (
     FrameBounds,

@@ -21,8 +21,8 @@ Exit codes:
     3  input error (missing file, parse error, inconsistent shapes,
        non-finite or oversized entries)
     4  hypothesis failure (singular frame operator, missing range
-       inclusion, non-co-isometry, infinite perturbation constant,
-       criteria conflict)
+       inclusion, non-co-isometry, infinite perturbation constant); a
+       failure that carries a vector reports it as ``hypothesis_vector``
     5  internal error: an unexpected exception, a LAPACK LinAlgError
        included, reported as "InternalError: <type>: <message>"
 """
@@ -41,7 +41,7 @@ from numpy.linalg import LinAlgError
 
 from . import io as spec_io
 from .duals import canonical_dual, minimal_dual, verify_dual
-from .errors import HypothesisError, ToleranceConflictError
+from .errors import HypothesisError
 from .frames import FrameBounds, OperatorFamily, certify, optimal_scalar_bounds
 from .operators import ModuleOperator, douglas_check
 from .perturbation import perturbation_check
@@ -329,15 +329,17 @@ def _cmd_douglas(args, report: RunReport) -> int:
             f"operators[1].target_rank: douglas needs K and L on one target, but L maps to "
             f"rank {l.target_rank} and K (operators[0]) to rank {k.target_rank}"
         )
-    rep = douglas_check(k, l, tol=max(args.tol, 1e-10))
+    rep = douglas_check(k, l)
     report.verdicts = {"range_included": rep.range_included}
     report.residuals = {
         "lambda_min": None if rep.lambda_min is None else _num(rep.lambda_min),
         "factor_residual": _num(rep.residual),
     }
-    if rep.factor is not None:
-        report.witnesses["factor"] = spec_io.encode_operator(rep.factor)
-    return EXIT_OK if rep.range_included else EXIT_FALSIFIED
+    if not rep.range_included:
+        report.witnesses["falsifying_vector"] = spec_io.encode_vector(rep.witness)
+        return EXIT_FALSIFIED
+    report.witnesses["factor"] = spec_io.encode_operator(rep.factor)
+    return EXIT_OK
 
 
 _COMMANDS = {
@@ -373,11 +375,10 @@ def run_command(argv: list[str]) -> tuple[int, RunReport]:
     started = time.perf_counter()
     try:
         code = _COMMANDS[args.subcommand](args, report)
-    except ToleranceConflictError as exc:
-        report.error = f"ToleranceConflict: {exc} {exc.details}"
-        code = EXIT_HYPOTHESIS
     except HypothesisError as exc:
         report.error = f"{type(exc).__name__}: {exc}"
+        if getattr(exc, "witness", None) is not None:
+            report.witnesses["hypothesis_vector"] = spec_io.encode_vector(exc.witness)
         code = EXIT_HYPOTHESIS
     except Exception as exc:  # the CLI surfaces failures, it never panics
         # ValueError is an input error (SpecFormatError too); LAPACK's LinAlgError is ours

@@ -1,10 +1,10 @@
 """Exception hierarchy shared by all modframes modules.
 
-Two families matter to callers: input problems (``ShapeMismatchError`` and
-plain ``ValueError``) and failed mathematical hypotheses
-(``HypothesisError`` subclasses).  The CLI maps the former to exit code 3
-and the latter to exit code 4; any other exception is an internal error,
-exit code 5.
+Two families matter to callers: input problems (``ShapeMismatchError``,
+``SpecFormatError`` and plain ``ValueError``) and failed mathematical
+hypotheses (``HypothesisError`` subclasses).  The CLI maps the former to exit
+code 3 and the latter to exit code 4; any other exception is an internal
+error, exit code 5.
 """
 
 
@@ -18,6 +18,11 @@ class ShapeMismatchError(ModframesError, ValueError):
 
 class NotPositiveError(ModframesError, ValueError):
     """An operand required to be positive semidefinite is not."""
+
+
+class SpecFormatError(ModframesError, ValueError):
+    """An input field is malformed; the message names it (a spec file's field
+    path, or ``bounds.lower`` / ``bounds.upper`` for a bound no frame can use)."""
 
 
 class HypothesisError(ModframesError):
@@ -48,10 +53,3 @@ class HypothesisFailedError(HypothesisError):
         self.which = which
         self.witness = witness
 
-
-class ToleranceConflictError(ModframesError):
-    """Independent criteria that must agree disagreed beyond tolerance."""
-
-    def __init__(self, message: str, details: dict | None = None):
-        super().__init__(message)
-        self.details = details or {}

@@ -37,6 +37,7 @@ from .errors import (
     NotCommutingError,
     NoInclusionError,
     ShapeMismatchError,
+    SpecFormatError,
 )
 from .module import ModuleSpace, ModuleVector, module_action, norm
 from .module import sample_vectors  # noqa: F401  (public name of this module too)
@@ -217,7 +218,7 @@ def _check_certify_shapes(F: OperatorFamily, K: ModuleOperator, bounds: FrameBou
         raise ShapeMismatchError("bound elements must live in the family's algebra")
     for name, el in (("lower", bounds.lower), ("upper", bounds.upper)):
         if not algebra.is_strictly_nonzero(el):
-            raise ValueError(f"{name} bound is not strictly nonzero (not safely invertible)")
+            raise SpecFormatError(f"bounds.{name}: not strictly nonzero (not safely invertible)")
 
 
 def _scalar_modulus(el: np.ndarray) -> float | None:

@@ -19,14 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duals import canonical_dual
-from .errors import ModframesError
+from .errors import SpecFormatError
 from .frames import FrameBounds, OperatorFamily, optimal_scalar_bounds
 from .module import ModuleVector
 from .operators import KERNEL_RTOL, ModuleOperator, compose, random_operator
-
-
-class SpecFormatError(ModframesError, ValueError):
-    """Spec file is malformed; the message names the offending field."""
 
 
 # Largest |re|, |im| of a spec entry and largest scalar bound: below it, Gram

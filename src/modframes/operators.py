@@ -12,7 +12,8 @@ plain dense linear algebra on the flattened matrices.
 the perturbation constant and the minimal dual share its kernel rule
 (``range_mask``, ``kernel_reach``).  It takes s as its ``eigh``, a frame
 operator's cached ``OperatorFamily.spectrum``; ``pencil_alpha_flat`` is the
-entry for a raw matrix s.
+entry for a raw matrix s.  ``douglas_check`` decides range inclusion by the
+same rule, on the ``eigh`` of l* l that one SVD of l gives.
 """
 
 from __future__ import annotations
@@ -23,10 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra
-from .errors import NotPositiveError, ShapeMismatchError, ToleranceConflictError
+from .errors import NotPositiveError, ShapeMismatchError
 from .module import ModuleVector
-
-DOUGLAS_TOL = 1e-8
 
 
 @dataclass
@@ -162,81 +161,45 @@ def random_operator(
 
 @dataclass
 class DouglasReport:
-    """Joint verdict of the range-inclusion / majorization / factorization
-    equivalence for a pair (K, L) with common target.
+    """Verdict on R(K) in R(L) <=> KK* <= lambda^2 LL* <=> K = LD (common target).
 
     ``lambda_min`` is the smallest lambda >= 0 with KK* <= lambda^2 LL*,
     computed on the range of L only; ``factor`` is the minimal-norm D with
-    K = LD and ``residual`` the flattened operator norm of K - LD.  The
-    three criteria are evaluated independently and must agree.
+    K = LD and ``residual`` the flattened operator norm of K - LD.  Without
+    inclusion both are None and ``witness`` is a rank-one X with L*X ~ 0
+    and K*X != 0; with inclusion it is None.
     """
 
     range_included: bool
     lambda_min: float | None
     factor: ModuleOperator | None
     residual: float
+    witness: ModuleVector | None = None
 
 
-def douglas_check(K: ModuleOperator, L: ModuleOperator, tol: float = DOUGLAS_TOL) -> DouglasReport:
-    """Check R(K) subseteq R(L) three independent ways and cross-validate.
+def douglas_check(K: ModuleOperator, L: ModuleOperator) -> DouglasReport:
+    """Decide R(K) subseteq R(L) from one SVD l = U S Vh of flat(L).
 
-    (a) rank comparison of flat(L) against the row-augmented [flat(L); flat(K)];
-    (b) existence of the majorization constant: lambda = largest singular
-        value of flat(K) restricted to the row space of flat(L), confirmed by
-        a PSD test of lambda^2 L L* - K K* in flattened form;
-    (c) factorization: D = K pinv(L) with residual ||K - D L||.
-
-    Raises ``ToleranceConflictError`` if the verdicts disagree; disagreement
-    is surfaced, never reconciled.
+    The padded, reversed S**2 and V are the ascending ``eigh`` of l* l, so
+    the verdict is the kernel rule's: K is included unless k* k reaches the
+    kernel of l* l (``kernel_reach``), whose direction x is the witness.
+    On the kept columns, c = k V1 S1^{-1} gives lambda = ||c|| and the
+    factor D = c U1*, with D l = k V1 V1*.
     """
     if K.dim != L.dim or K.target_rank != L.target_rank:
         raise ShapeMismatchError("douglas_check needs a common target space")
     k = K.flat
-    l = L.flat
-
-    stacked = np.vstack([l, k])
-    sig_stack = np.linalg.svd(stacked, compute_uv=False)
-    smax = sig_stack[0] if sig_stack.size else 0.0
-    cut = tol * max(smax, 1.0)
-    # One SVD of l gives both its rank and, with l = U S Vh, the admissible
-    # directions of the majorization constant: the leading right singular
-    # vectors, where ||k v|| / ||l v|| reduces to the norm of k V1 S1^{-1}.
-    _, s_l, vh_l = np.linalg.svd(l, full_matrices=False)
-    mask = s_l > cut
-    rank_l = int(np.sum(mask))
-    rank_stack = int(np.sum(sig_stack > cut))
-    v_rank = rank_stack == rank_l
-
-    norm_k = float(np.linalg.norm(k, 2))
-    if np.any(mask):
-        v1 = np.conj(vh_l[mask].T)
-        lam = float(np.linalg.norm(k @ v1 / s_l[mask][None, :], 2))
-    else:
-        lam = 0.0
-    major_gap = float(
-        np.linalg.eigvalsh(algebra.hermitian_part(lam**2 * np.conj(l.T) @ l - np.conj(k.T) @ k))[0]
-    )
-    v_major = major_gap >= -tol * (1.0 + norm_k**2)
-
-    d_flat = k @ np.linalg.pinv(l, rcond=tol)
-    residual = float(np.linalg.norm(k - d_flat @ l, 2))
-    v_factor = residual <= tol * (1.0 + norm_k)
-
-    if not (v_rank == v_major == v_factor):
-        raise ToleranceConflictError(
-            "range-inclusion criteria disagree",
-            details={
-                "rank": v_rank,
-                "majorization": v_major,
-                "factorization": v_factor,
-                "lambda": lam,
-                "majorization_gap": major_gap,
-                "residual": residual,
-            },
-        )
-
-    if not v_rank:
-        return DouglasReport(range_included=False, lambda_min=None, factor=None, residual=residual)
+    u, s, vh = np.linalg.svd(L.flat, full_matrices=True)
+    w = np.zeros(len(vh))
+    w[: len(s)] = s**2
+    x = kernel_reach(np.conj(k.T) @ k, (w[::-1], np.conj(vh[::-1].T)))
+    r = int(np.sum(range_mask(w[::-1])))  # s descends, so the kept columns lead
+    c = k @ np.conj(vh[:r].T) / s[:r]
+    lam = float(np.linalg.norm(c, 2)) if r else 0.0
+    d_flat = c @ np.conj(u[:, :r].T)
+    residual = float(np.linalg.norm(k - d_flat @ L.flat, 2))
+    if x is not None:
+        return DouglasReport(False, None, None, residual, ModuleVector.rank_one(K.dim, x))
     factor = ModuleOperator(K.dim, K.source_rank, L.source_rank, d_flat)
     return DouglasReport(range_included=True, lambda_min=lam, factor=factor, residual=residual)
 

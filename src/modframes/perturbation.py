@@ -126,7 +126,9 @@ def perturbation_check(
         )
     incl = douglas_check(Lop, K)
     if not incl.range_included:
-        raise HypothesisFailedError("range(Lop) is not contained in range(K)")
+        raise HypothesisFailedError(
+            "range(Lop) is not contained in range(K)", witness=incl.witness
+        )
 
     m, witness = _exact_constant(L, G)
     if math.isinf(m):

@@ -151,3 +151,33 @@ def sampled_perturbation_scan(L: OperatorFamily, G: OperatorFamily, samples, den
         if den >= denom_tol:
             best = max(best, quadratic_norm(diff, f) / den)
     return float(best)
+
+
+def douglas_oracle(k: np.ndarray, l: np.ndarray) -> bool:
+    """Independent oracle for R(K) in R(L) on flat k, l of unit scale: three
+    criteria, each cut at ``tol * max(sigma_max, 1)`` with tol = 1e-8
+    (absolute, so meant for operands near norm 1), asserted to agree.
+
+    (a) rank of l equals the rank of the row-stacked [l; k];
+    (b) lambda^2 l*l - k*k is PSD for lambda = ||k V1 S1^-1|| on the kept
+        right singular vectors V1 of l;
+    (c) D = k pinv(l) reproduces k: ||k - D l|| is within tolerance.
+    """
+    tol = 1e-8
+    sig_stack = np.linalg.svd(np.vstack([l, k]), compute_uv=False)
+    cut = tol * max(float(sig_stack[0]), 1.0)
+    _, s_l, vh_l = np.linalg.svd(l, full_matrices=False)
+    mask = s_l > cut
+    by_rank = int(np.sum(sig_stack > cut)) == int(np.sum(mask))
+
+    norm_k = float(np.linalg.norm(k, 2))
+    lam = 0.0
+    if np.any(mask):
+        lam = float(np.linalg.norm(k @ np.conj(vh_l[mask].T) / s_l[mask][None, :], 2))
+    gap = lam**2 * np.conj(l.T) @ l - np.conj(k.T) @ k
+    by_major = np.linalg.eigvalsh(0.5 * (gap + np.conj(gap.T)))[0] >= -tol * (1.0 + norm_k**2)
+
+    residual = float(np.linalg.norm(k - k @ np.linalg.pinv(l, rcond=tol) @ l, 2))
+    by_factor = residual <= tol * (1.0 + norm_k)
+    assert by_rank == by_major == by_factor, (by_rank, by_major, by_factor)
+    return bool(by_rank)

@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modframes import FrameBounds, cli, generate_instance, load_spec, save_spec
+from modframes import FrameBounds, ModuleOperator, cli, generate_instance, load_spec, save_spec
 from modframes import io as spec_io
 from modframes.cli import RunReport, run_command
 from modframes.io import GENERATOR_KINDS, FrameSpecFile
+from conftest import random_unitary
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -512,3 +513,70 @@ def test_douglas_names_the_mismatched_target_rank(tmp_path, capfd):
     assert report.error.startswith("SpecFormatError: operators[1].target_rank:")
     assert f"rank {l.target_rank}" in report.error and f"rank {k.target_rank}" in report.error
     assert capfd.readouterr().err == ""
+
+
+def _douglas(tmp_path, k: np.ndarray, l: np.ndarray, *flags) -> tuple[int, dict]:
+    """Run ``douglas`` on flat (K, L) of d = 2 and return (exit code, JSON report).
+
+    A verdict is required (exit 0 or 1).  On exit 1 the reported
+    ``falsifying_vector`` X = e_1 x* is re-checked: ||l x|| <= 1e-6 ||l|| and
+    ||k x||^2 >= 1e-12 ||k||_F^2 / (md), so L*X ~ 0 while K*X is not.
+    """
+    n = len(k) // 2
+    path = tmp_path / "kl.json"
+    ops = [ModuleOperator(2, n, n, f) for f in (k, l)]
+    save_spec(FrameSpecFile(algebra_dim=2, module_rank=n, operators=ops), path)
+    out = tmp_path / "kl.report"
+    code, _ = run_command(["douglas", str(path), *flags, "--out", str(out)])
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert code in (0, 1), report["error"]
+    assert report["verdicts"]["range_included"] is (code == 0)
+    assert ("factor" in report["witnesses"]) is (code == 0)
+    if code == 1:
+        x = np.conj(spec_io.decode_vector(report["witnesses"]["falsifying_vector"]).flat[0])
+        assert np.linalg.norm(l @ x) <= 1e-6 * np.linalg.norm(l, 2)
+        assert np.linalg.norm(k @ x) ** 2 >= 1e-12 * np.linalg.norm(k) ** 2 / len(x)
+    return code, report
+
+
+def _cgauss(rng, *shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("included", [True, False])
+@pytest.mark.parametrize("c", [1e-12, 1e-9, 1.0, 1e9])
+def test_douglas_exit_code_is_scale_invariant(tmp_path, c, included):
+    """L of rank 2 of 4: K = D L exits 0 and a generic K exits 1 with a
+    witness, at every scale c of (cK, cL); no scale is a conflict (exit 4)."""
+    rng = np.random.default_rng(11)
+    l = _cgauss(rng, 4, 2) @ _cgauss(rng, 2, 4)
+    k = _cgauss(rng, 4, 4) @ (l if included else np.eye(4))
+    assert _douglas(tmp_path, c * k, c * l)[0] == (0 if included else 1)
+
+
+@pytest.mark.parametrize("ratio", [1e-7, 9e-7, 1.1e-6])
+def test_douglas_graded_invertible_l_gets_a_verdict(tmp_path, ratio):
+    """An invertible L with sigma_min / sigma_max = ``ratio`` is decided, not
+    a conflict: the kernel rule keeps sigma^2 > 1e-12 sigma_max^2, so a
+    generic K is inside range(L) exactly when ratio > 1e-6."""
+    rng = np.random.default_rng(12)
+    u, v = random_unitary(4, rng), random_unitary(4, rng)
+    l = (u * np.geomspace(1.0, ratio, 4)) @ np.conj(v.T)
+    assert _douglas(tmp_path, _cgauss(rng, 4, 4), l)[0] == (0 if ratio > 1e-6 else 1)
+
+
+@pytest.mark.parametrize("included", [True, False])
+def test_douglas_ignores_tol(tmp_path, included):
+    """--tol is a certification tolerance; douglas decides by the kernel rule
+    alone, so --tol 1e-3 leaves its report byte-identical, even for an L whose
+    sigma_min / sigma_max = 1e-4 lies between that tolerance and the rule's cut."""
+    rng = np.random.default_rng(13)
+    u = random_unitary(4, rng)
+    l = (u * np.array([1.0, 0.3, 1e-4, 0.0])) @ np.conj(u.T)
+    k = _cgauss(rng, 4, 4) @ (l if included else np.eye(4))
+    texts = []
+    for flags in ((), ("--tol", "1e-3")):
+        report = _douglas(tmp_path, k, l, *flags)[1]
+        report.pop("command")
+        texts.append(json.dumps(report, sort_keys=True))
+    assert texts[0] == texts[1]

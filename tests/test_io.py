@@ -236,6 +236,26 @@ class TestInputBoundary:
         assert code == 3 and report.error.startswith(f"SpecFormatError: {field}:")
         assert capfd.readouterr().err == ""
 
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("entry", [0.0, 1e30])
+    def test_algebra_bound_not_safely_invertible(self, tmp_path, side, entry, capfd):
+        """An algebra bound with condition number above 1e12 (one diagonal entry
+        0 or 1e30 beside 1) is an input error naming the bound, like any other
+        bad field; certify's own check names it, so a direct call does too."""
+        spec = generate_instance("perturbed-pair", 2, 2, 2, seed=1)
+        bad = np.diag([entry, 1.0]).astype(complex)
+        spec.bounds = FrameBounds(lower=bad if side == "lower" else spec.bounds.lower,
+                                  upper=bad if side == "upper" else spec.bounds.upper,
+                                  mode="algebra")
+        path = tmp_path / "spec.json"
+        save_spec(spec, path)
+        for sub in ("verify", "perturb"):
+            code, report = run_command([sub, str(path)])
+            assert code == 3 and report.error.startswith(f"SpecFormatError: bounds.{side}: ")
+        with pytest.raises(SpecFormatError, match=f"^bounds.{side}: not strictly nonzero"):
+            certify(OperatorFamily(spec.operators), ModuleOperator.identity(2, 2), spec.bounds)
+        assert capfd.readouterr().err == ""
+
     # ``tolerances`` is legacy: a spec may carry exactly what gen once wrote,
     # and any other content exits 3 naming its first key at fault.
     @pytest.mark.parametrize(
@@ -556,6 +576,27 @@ class TestCliContract:
         code, report = run_command(["dual", str(path)])
         assert code == 4
         assert "SingularFrameOperator" in report.error
+        assert report.witnesses == {}
+
+    def test_exit_four_reports_the_hypothesis_vector(self, tmp_path):
+        """A perturbed family that kills a direction v of C^{nd} has an infinite
+        M; the exit-4 report carries the kernel direction x as
+        ``hypothesis_vector``, with x* S_G x ~ 0 while x* D x is not."""
+        spec = generate_instance("perturbed-pair", 2, 2, 3, seed=6)
+        v = np.linalg.qr(make_rng(6).standard_normal((4, 1)))[0][:, 0]
+        proj = np.eye(4) - np.outer(v, v)
+        spec.second_operators = [ModuleOperator(2, 2, g.target_rank, proj @ g.flat)
+                                 for g in spec.second_operators]
+        path = tmp_path / "dead.json"
+        save_spec(spec, path)
+        code, report = run_command(["perturb", str(path)])
+        assert code == 4 and "infinite" in report.error
+        x = np.conj(decode_vector(report.witnesses["hypothesis_vector"]).flat[0])
+        s_g = frame_operator(OperatorFamily(spec.second_operators)).flat
+        d_hat = sum((a - b).flat @ np.conj((a - b).flat.T)
+                    for a, b in zip(spec.operators, spec.second_operators))
+        assert abs(np.vdot(x, s_g @ x)) <= 1e-12 * np.linalg.norm(s_g, 2)
+        assert np.vdot(x, d_hat @ x).real >= 1e-6 * np.linalg.norm(d_hat, 2)
 
     def test_dual_command_verifies(self, tmp_path):
         path = self._gen(tmp_path, "dual-pair", 24)
@@ -756,21 +797,23 @@ class TestDeterminism:
         assert first.startswith("modframes verify")
 
 
-def _count_calls(monkeypatch, argv) -> dict:
-    """Run the CLI and count frame-operator builds and eigen-solves.
+def _count_calls(monkeypatch, argv, code=0) -> dict:
+    """Run the CLI and count frame-operator builds and ``numpy.linalg`` calls.
 
     ``frame_operator`` is counted in every modframes module that binds it, so
-    a build through an imported name counts as well.
+    a build through an imported name counts as well.  ``solves`` counts the
+    eigen-solves, ``eigh`` and ``eigvalsh`` together.
     """
     import sys
 
     import modframes.frames
 
-    counts = {"gram": 0, "solves": 0}
+    counts = {"gram": 0, "solves": 0, "eigh": 0, "eigvalsh": 0, "svd": 0, "pinv": 0}
 
-    def counted(fn, key):
+    def counted(fn, *keys):
         def wrapper(*args, **kwargs):
-            counts[key] += 1
+            for key in keys:
+                counts[key] += 1
             return fn(*args, **kwargs)
 
         return wrapper
@@ -780,10 +823,11 @@ def _count_calls(monkeypatch, argv) -> dict:
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] == "modframes" and getattr(mod, "frame_operator", None) is original:
             monkeypatch.setattr(mod, "frame_operator", build)
-    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh, "solves"))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh, "solves"))
-    code, _ = run_command([*argv, "--out", argv[1] + ".report"])
-    assert code == 0
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name), "solves", name))
+    for name in ("svd", "pinv"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name), name))
+    assert run_command([*argv, "--out", argv[1] + ".report"])[0] == code
     return counts
 
 
@@ -794,8 +838,8 @@ class TestOneSpectrumPerFamily:
     @pytest.mark.parametrize(
         "sub, kind, file_bounds, grams, max_solves",
         [
-            ("perturb", "perturbed-pair", True, 2, 9),
-            ("perturb", "perturbed-pair", False, 2, 10),
+            ("perturb", "perturbed-pair", True, 2, 7),
+            ("perturb", "perturbed-pair", False, 2, 8),
             ("bounds", "known-bounds", True, 1, 2),
             ("verify", "known-bounds", False, 1, 3),
             ("dual", "known-bounds", True, 2, 2),
@@ -815,6 +859,21 @@ class TestOneSpectrumPerFamily:
         assert counts["gram"] == grams
         assert counts["solves"] <= max_solves
 
+    @pytest.mark.parametrize("included", [True, False])
+    def test_douglas_is_one_svd(self, tmp_path, monkeypatch, included):
+        """douglas decides from one SVD of L, with no pseudoinverse and no
+        eigvalsh; only a non-inclusion runs one eigh, for its witness."""
+        rng = make_rng(8)
+        l = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 4))
+        k = rng.standard_normal((4, 4)) @ (l if included else np.eye(4))
+        ops = [ModuleOperator(2, 2, 2, f) for f in (k, l)]
+        path = tmp_path / "kl.json"
+        save_spec(FrameSpecFile(algebra_dim=2, module_rank=2, operators=ops), path)
+        outside = 0 if included else 1  # the witness's eigh, and exit 1
+        counts = _count_calls(monkeypatch, ["douglas", str(path)], code=outside)
+        assert counts == {"gram": 0, "solves": outside, "eigh": outside,
+                          "eigvalsh": 0, "svd": 1, "pinv": 0}
+
     @pytest.mark.parametrize("factors", [2, 3, 4])
     def test_tensor_builds_no_gram(self, tmp_path, monkeypatch, factors):
         """tensor decides from the factors' reconstruction operators; the dual
@@ -824,7 +883,8 @@ class TestOneSpectrumPerFamily:
             path = tmp_path / f"dp{seed}.json"
             save_spec(generate_instance("dual-pair", 2, 2, 3, seed=seed), path)
             paths.append(str(path))
-        assert _count_calls(monkeypatch, ["tensor", *paths]) == {"gram": 0, "solves": 0}
+        counts = _count_calls(monkeypatch, ["tensor", *paths])
+        assert counts["gram"] == counts["solves"] == 0
 
 
 # -- the exit-3 contract, by mutation -------------------------------------------

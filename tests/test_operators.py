@@ -26,7 +26,13 @@ from modframes import (
     unflatten,
 )
 from modframes.operators import pencil_alpha_flat, pencil_max
-from conftest import cholesky_pencil_max, make_rng, pencil_alpha_bisect, random_psd
+from conftest import (
+    cholesky_pencil_max,
+    douglas_oracle,
+    make_rng,
+    pencil_alpha_bisect,
+    random_psd,
+)
 
 
 class TestApply:
@@ -151,6 +157,15 @@ class TestPseudoinverse:
             assert np.linalg.norm(left - flatten(t), 2) <= 1e-10 * (1 + np.linalg.norm(t.flat, 2))
 
 
+def _assert_douglas_witness(k: np.ndarray, l: np.ndarray, witness) -> None:
+    """The non-inclusion witness X = e_1 x* has L*X ~ 0 while K*X is not:
+    ||l x|| <= 1e-6 ||l|| and ||k x||^2 >= 1e-12 ||k||_F^2 / (md)."""
+    x = np.conj(witness.flat[0])
+    assert np.linalg.norm(x) == pytest.approx(1.0)
+    assert np.linalg.norm(l @ x) <= 1e-6 * np.linalg.norm(l, 2)
+    assert np.linalg.norm(k @ x) ** 2 >= 1e-12 * np.linalg.norm(k) ** 2 / len(x)
+
+
 class TestDouglas:
     def test_k_equals_l(self, rng):
         l = random_operator(2, 3, 2, rng)
@@ -178,7 +193,8 @@ class TestDouglas:
             r = random_operator(d, g, e, rng)
             k = compose(r, l)  # K = L o R, so range(K) inside range(L)
             rep = douglas_check(k, l)
-            assert rep.range_included
+            assert rep.range_included and douglas_oracle(k.flat, l.flat)
+            assert rep.witness is None
             assert rep.residual <= 1e-10
             # factor reproduces K = L D
             assert np.linalg.norm(
@@ -203,9 +219,30 @@ class TestDouglas:
             l = random_operator(d, 1, f, rng)  # deficient row space
             k = random_operator(d, f, f, rng)
             rep = douglas_check(k, l)
-            assert not rep.range_included
+            assert not rep.range_included and not douglas_oracle(k.flat, l.flat)
             assert rep.lambda_min is None and rep.factor is None
             assert rep.residual > 1e-6
+            _assert_douglas_witness(k.flat, l.flat, rep.witness)
+
+    @pytest.mark.parametrize("included", [True, False])
+    @pytest.mark.parametrize("c", [1e-12, 1e-9, 1.0, 1e9])
+    def test_verdict_is_scale_invariant(self, c, included):
+        """(cK, cL) has the verdict and lambda of (K, L): the kernel rule's cut
+        is relative to sigma_max(L), with no absolute floor."""
+        rng = make_rng(7)
+        for _ in range(20):
+            l = random_operator(2, 2, 2, rng)
+            l = compose(compose(l, ModuleOperator(2, 2, 2, np.diag([1, 1, 0, 0]))), l)
+            k = random_operator(2, 2, 2, rng)
+            if included:
+                k = compose(k, l)
+            unit, scaled = douglas_check(k, l), douglas_check(c * k, c * l)
+            assert unit.range_included is scaled.range_included is included
+            assert douglas_oracle(k.flat, l.flat) is included
+            if included:
+                assert scaled.lambda_min == pytest.approx(unit.lambda_min, rel=1e-9)
+            else:
+                _assert_douglas_witness(c * k.flat, c * l.flat, scaled.witness)
 
     def test_target_mismatch(self, rng):
         with pytest.raises(ShapeMismatchError):

@@ -228,8 +228,12 @@ class TestPerturbationCheck:
         alpha, beta = optimal_scalar_bounds(fam, k)
         bounds = FrameBounds.scalar(alpha * (1 - 1e-8), beta * (1 + 1e-8), d)
         lop = ModuleOperator.identity(d, n)  # range(I) not inside range(K)
-        with pytest.raises(HypothesisFailedError):
+        with pytest.raises(HypothesisFailedError, match="not contained") as err:
             perturbation_check(fam, fam, k, lop, bounds)
+        # the witness X = e_1 x*: K*X = 0 while Lop*X = X is not
+        x = np.conj(err.value.witness.flat[0])
+        assert np.linalg.norm(k.flat @ x) <= 1e-12
+        assert np.linalg.norm(lop.flat @ x) == pytest.approx(1.0)
 
     def test_converse_constant_under_coisometric_target(self, rng):
         d, n = 2, 2
