@@ -17,7 +17,8 @@ Exit codes:
     2  inconclusive: a bound element that is not a multiple of I with a
        nonzero Gram matrix on its side, whose failure margin stays within
        --tol (the near-scalar window); the inequality fails, but no witness
-       clears the tolerance
+       clears the tolerance.  Also a tensor product too large to form whose
+       residual bounds straddle the tolerance (``undecided_factors``)
     3  input error (missing file, parse error, inconsistent shapes,
        non-finite or oversized entries)
     4  hypothesis failure (singular frame operator, missing range
@@ -313,7 +314,18 @@ def _cmd_tensor(args, report: RunReport) -> int:
         return EXIT_FALSIFIED
     result = nfold_tensor_dual(pairs, tol=args.tol)
     report.verdicts = {"verified": result.verified, "factors": len(pairs)}
-    report.residuals["tensor_residual"] = _num(result.reconstruction_residual)
+    if result.reconstruction_residual is not None:
+        report.residuals["tensor_residual"] = _num(result.reconstruction_residual)
+        return EXIT_OK if result.verified else EXIT_FALSIFIED
+    lower, upper = result.residual_bounds  # above DENSE_LIMIT rows: bounds only
+    report.residuals.update(
+        tensor_residual_kind="bounds",
+        tensor_residual_lower=_num(lower),
+        tensor_residual_upper=_num(upper),
+    )
+    if result.undecided:
+        report.verdicts["undecided_factors"] = result.undecided
+        return EXIT_INCONCLUSIVE
     return EXIT_OK if result.verified else EXIT_FALSIFIED
 
 

@@ -27,14 +27,16 @@ from .operators import KERNEL_RTOL, ModuleOperator, compose, kernel_reach, opera
 class DualPair:
     """A candidate dual pair together with its reconstruction residual.
 
-    ``reconstruction_residual`` is the flattened operator norm of
-    sum_i L_i* G_i - K; the pair is ``verified`` when it is at most
-    ``tol * max(1, ||K||)`` for the ``tol`` of ``verify_dual``.
+    ``reconstruction`` is R = sum_i L_i* G_i, as ``verify_dual`` built it, and
+    ``reconstruction_residual`` the flattened operator norm of R - K; the
+    pair is ``verified`` when it is at most ``tol * max(1, ||K||)`` for the
+    ``tol`` of ``verify_dual``.
     """
 
     primary_family: OperatorFamily
     dual_family: OperatorFamily
     target: ModuleOperator
+    reconstruction: ModuleOperator
     reconstruction_residual: float
     verified: bool
 
@@ -71,11 +73,13 @@ def verify_dual(
     absolute for targets of norm at most 1 (K = 0 included).
     """
     _check_pair_shapes(L, G, K)
-    residual = operator_norm(reconstruction_operator(L, G) - K)
+    rec = reconstruction_operator(L, G)
+    residual = operator_norm(rec - K)
     return DualPair(
         primary_family=L,
         dual_family=G,
         target=K,
+        reconstruction=rec,
         reconstruction_residual=residual,
         verified=residual <= tol * max(1.0, operator_norm(K)),
     )

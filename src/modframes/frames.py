@@ -211,14 +211,23 @@ def _target_gram(K: ModuleOperator) -> np.ndarray:
     return np.conj(K.flat.T) @ K.flat
 
 
-def _check_certify_shapes(F: OperatorFamily, K: ModuleOperator, bounds: FrameBounds) -> None:
+def _check_certify_inputs(
+    F: OperatorFamily, K: ModuleOperator, bounds: FrameBounds
+) -> tuple[float | None, float | None]:
+    """Check the shapes, and that each bound element is strictly nonzero;
+    return each element's ``_scalar_modulus``.  An exact c*I needs only
+    c != 0 (its condition number is 1); any other element needs its SVD."""
     if K.dim != F.dim or not K.is_endomorphism() or K.source_rank != F.source_rank:
         raise ShapeMismatchError("target operator must be an endomorphism of the family's source")
     if bounds.dim != F.dim:
         raise ShapeMismatchError("bound elements must live in the family's algebra")
+    moduli = []
     for name, el in (("lower", bounds.lower), ("upper", bounds.upper)):
-        if not algebra.is_strictly_nonzero(el):
+        mod = _scalar_modulus(el)
+        if mod == 0.0 or (mod is None and not algebra.is_strictly_nonzero(el)):
             raise SpecFormatError(f"bounds.{name}: not strictly nonzero (not safely invertible)")
+        moduli.append(mod)
+    return moduli[0], moduli[1]
 
 
 def _scalar_modulus(el: np.ndarray) -> float | None:
@@ -276,13 +285,11 @@ def certify(
     lower of the two sides), ``inconclusive`` when a structural side with a
     nonzero Gram matrix stays within tolerance, and ``certified`` otherwise.
     """
-    _check_certify_shapes(F, K, bounds)
+    a_mod, b_mod = _check_certify_inputs(F, K, bounds)
     s_hat = F.gram
     m_hat = _target_gram(K)
     d, n = F.dim, F.source_rank
     eye_d = np.eye(d, dtype=np.complex128)
-    a_mod = _scalar_modulus(bounds.lower)
-    b_mod = _scalar_modulus(bounds.upper)
 
     # b^2 I - S_hat is smallest along the top eigenvector of the cached spectrum.
     if a_mod is not None:

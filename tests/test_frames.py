@@ -15,6 +15,7 @@ from modframes import (
     NotCoisometryError,
     NotCommutingError,
     OperatorFamily,
+    SpecFormatError,
     analysis_operator,
     apply,
     certify,
@@ -112,6 +113,28 @@ class TestFrameOperators:
 
 
 class TestCertify:
+    def test_scalar_bounds_make_no_svd(self, rng, monkeypatch):
+        """An exact c*I bound has condition number 1, so it is classified
+        without an SVD; an element that is not a multiple of I still needs one."""
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        fam = random_family(2, 3, 3, rng)
+        k = random_operator(2, 3, 3, rng)
+        alpha, beta = optimal_scalar_bounds(fam, k)
+        cert = certify(fam, k, FrameBounds.scalar(alpha * (1 - 1e-8), beta * (1 + 1e-8), 2))
+        assert cert.verdict == "certified" and calls == []
+        certify(fam, k, FrameBounds(np.diag([1.0, 2.0]), 3j * np.eye(2), mode="algebra"))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_zero_multiple_of_identity_not_strictly_nonzero(self, rng, side):
+        fam = random_family(2, 2, 3, rng)
+        zero, eye = np.zeros((2, 2)), np.eye(2)
+        bounds = FrameBounds(zero if side == "lower" else eye, zero if side == "upper" else eye)
+        with pytest.raises(SpecFormatError, match=f"^bounds.{side}: not strictly nonzero"):
+            certify(fam, ModuleOperator.identity(2, 2), bounds)
+
     def test_coordinate_functionals_normalized(self):
         fam = coordinate_family(2)
         cert = certify(fam, ModuleOperator.identity(1, 2), FrameBounds.scalar(1, 1, 1))

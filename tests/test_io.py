@@ -256,6 +256,25 @@ class TestInputBoundary:
             certify(OperatorFamily(spec.operators), ModuleOperator.identity(2, 2), spec.bounds)
         assert capfd.readouterr().err == ""
 
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_algebra_zero_multiple_of_identity_exits_3(self, tmp_path, side, capfd):
+        """0*I in algebra mode is classified as c*I, with no SVD, and c = 0 is
+        still not strictly nonzero."""
+        spec = generate_instance("perturbed-pair", 2, 2, 2, seed=1)
+        zero = np.zeros((2, 2), dtype=complex)
+        spec.bounds = FrameBounds(lower=zero if side == "lower" else spec.bounds.lower,
+                                  upper=zero if side == "upper" else spec.bounds.upper,
+                                  mode="algebra")
+        path = tmp_path / "spec.json"
+        save_spec(spec, path)
+        for sub in ("verify", "perturb"):
+            code, report = run_command([sub, str(path)])
+            assert code == 3
+            assert report.error == (
+                f"SpecFormatError: bounds.{side}: not strictly nonzero (not safely invertible)"
+            )
+        assert capfd.readouterr().err == ""
+
     # ``tolerances`` is legacy: a spec may carry exactly what gen once wrote,
     # and any other content exits 3 naming its first key at fault.
     @pytest.mark.parametrize(

@@ -25,6 +25,7 @@ from conftest import (
     make_rng,
     quadratic_norm,
     random_family,
+    random_unitary,
     sampled_perturbation_scan,
 )
 
@@ -234,6 +235,21 @@ class TestPerturbationCheck:
         x = np.conj(err.value.witness.flat[0])
         assert np.linalg.norm(k.flat @ x) <= 1e-12
         assert np.linalg.norm(lop.flat @ x) == pytest.approx(1.0)
+
+    def test_target_with_tiny_singular_values_contains_its_own_range(self):
+        """K = U diag(1, 6.3e-7 x 7) V^H (d = 2, n = 4): range(K) lies in itself,
+        although the kernel rule of ``douglas_check(K, K)`` marks the seven
+        small directions (sigma^2 = 4e-13) as kernel and denies it."""
+        rng = make_rng(31)
+        u, v = random_unitary(8, rng), random_unitary(8, rng)
+        k = ModuleOperator(2, 4, 4, (u * np.r_[1.0, [6.3e-7] * 7]) @ np.conj(v.T))
+        fam = random_family(2, 4, 5, rng)
+        alpha, beta = optimal_scalar_bounds(fam, k)
+        bounds = FrameBounds.scalar(alpha * (1 - 1e-8), beta * (1 + 1e-8), 2)
+        pert = _perturbed(fam, rng, scale=1e-3)
+        for lop in (k, ModuleOperator(2, 4, 4, k.flat.copy())):
+            rep = perturbation_check(fam, pert, k, lop, bounds)
+            assert rep.derived.verdict == "certified" and 0.0 < rep.M_estimate < 1e-3
 
     def test_converse_constant_under_coisometric_target(self, rng):
         d, n = 2, 2

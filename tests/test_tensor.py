@@ -1,5 +1,6 @@
 """Kronecker structure and tensor-product duality."""
 
+import math
 import tracemalloc
 from functools import reduce
 
@@ -216,6 +217,33 @@ def _canonical_pair(d, n, count, rng):
     return verify_dual(fam, canonical_dual(fam, k), k)
 
 
+def _perturbed_pair(d, n, count, rng, scale=1e-3):
+    """A canonical pair whose dual is off by a generic ``scale`` perturbation,
+    so the residual is far above roundoff; verified at tolerance 1."""
+    p = _canonical_pair(d, n, count, rng)
+    dual = OperatorFamily([
+        g + random_operator(d, n, g.target_rank, rng, scale=scale)
+        for g in p.dual_family.members
+    ])
+    return verify_dual(p.primary_family, dual, p.target, 1.0)
+
+
+def _kron_residual(pairs):
+    """The oracle: ||(x)R_i - (x)K_i||_2 by np.kron, R_i rebuilt from the families."""
+    recs = [reconstruction_operator(p.primary_family, p.dual_family).flat for p in pairs]
+    tgts = [p.target.flat for p in pairs]
+    return float(np.linalg.norm(reduce(np.kron, recs) - reduce(np.kron, tgts), 2))
+
+
+def _traced(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _materialized(pairs, tol=1e-10):
     """The oracle: the left fold of tensor_dual_check over the built families."""
     return reduce(lambda acc, p: tensor_dual_check(acc, p, tol), pairs[1:], pairs[0])
@@ -231,6 +259,7 @@ class TestFactoredNfold:
         2: [(2, 2, 3), (1, 3, 4)],
         3: [(1, 2, 2), (2, 1, 3), (3, 1, 2)],
         4: [(1, 2, 2), (2, 1, 3), (1, 3, 2), (2, 2, 2)],
+        5: [(1, 2, 2), (2, 1, 3), (1, 3, 2), (2, 2, 2), (1, 2, 3)],
     }
 
     @pytest.mark.parametrize("m", [2, 3, 4])
@@ -346,14 +375,18 @@ class TestFactoredNfold:
     def test_four_factor_peak_memory(self):
         rng = make_rng(501)
         pairs = [_canonical_pair(2, 2, 3, rng) for _ in range(4)]
-        tracemalloc.start()
-        try:
-            out = nfold_tensor_dual(pairs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = _traced(nfold_tensor_dual, pairs)
         assert out.verified
-        assert peak < 10 * 2**20  # materialized: about 199 MB
+        # one 256-square buffer is 1 MiB; kron-then-subtract held three
+        # (3.0 MiB), the materialized families about 199 MB
+        assert peak < 1.5 * 2**20
+
+    def test_five_factor_peak_memory(self):
+        rng = make_rng(502)
+        pairs = [_canonical_pair(2, 2, 3, rng) for _ in range(5)]
+        out, peak = _traced(nfold_tensor_dual, pairs)
+        assert out.verified and out.reconstruction_residual is not None
+        assert peak < 24 * 2**20  # one 1024-square buffer is 16 MiB; three were 48
 
     def test_five_factor_cli(self, tmp_path):
         paths = []
@@ -364,3 +397,158 @@ class TestFactoredNfold:
         assert code == 0
         assert report.verdicts == {"verified": True, "factors": 5}
         assert report.residuals["tensor_residual"] <= 1e-10
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_dense_residual_is_kron_then_subtract_bitwise(self, m):
+        """The one-buffer residual is bit for bit the 2-norm of
+        np.kron(...) - np.kron(...), so reports up to 1024 rows keep their bytes."""
+        rng = make_rng(310 + m)
+        pairs = [_perturbed_pair(d, n, c, rng) for d, n, c in self.SHAPES[m]]
+        got = nfold_tensor_dual(pairs, 1.0)
+        assert got.residual_bounds is None
+        assert got.reconstruction_residual == _kron_residual(pairs)
+
+
+def _bounds_only(monkeypatch):
+    """Send every product to the bounds path, as if it had over DENSE_LIMIT rows."""
+    monkeypatch.setattr(tensor_mod, "DENSE_LIMIT", 0)
+
+
+def _outcome(pairs, tol):
+    """How the fold ends: its verdict, the undecided product, or the raised product."""
+    try:
+        out = nfold_tensor_dual(pairs, tol)
+    except HypothesisFailedError as exc:
+        return ("raised", str(exc))
+    if out.undecided:
+        return ("undecided", out.undecided)
+    return ("verified", out.verified)
+
+
+class TestResidualBounds:
+    """Above DENSE_LIMIT rows the product is decided by the telescoped upper
+    bound u and a power-step lower bound; the dense residual is the oracle."""
+
+    SHAPES = TestFactoredNfold.SHAPES
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_bounds_bracket_dense_residual(self, monkeypatch, m):
+        rng = make_rng(320 + m)
+        pairs = [_perturbed_pair(d, n, c, rng) for d, n, c in self.SHAPES[m]]
+        dense = _kron_residual(pairs)
+        _bounds_only(monkeypatch)
+        # tol 1 verifies every partial product by u; tol 0 runs the power steps
+        upper = nfold_tensor_dual(pairs, 1.0).residual_bounds[1]
+        lower = tensor_mod._residual_lower(
+            [p.reconstruction.flat for p in pairs], [p.target.flat for p in pairs]
+        )
+        assert dense > 1e-4
+        assert lower <= dense * (1 + 1e-12)
+        assert dense <= upper * (1 + 1e-12)
+        assert lower >= 0.99 * dense  # the power steps converge on these cases
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_bounds_verdict_equals_dense_verdict(self, monkeypatch, m):
+        rng = make_rng(330 + m)
+        pairs = [_perturbed_pair(d, n, c, rng) for d, n, c in self.SHAPES[m]]
+        tols = np.geomspace(1e-6, 1.0, 25)
+        dense = [_outcome(pairs, tol) for tol in tols]
+        _bounds_only(monkeypatch)
+        bounds = [_outcome(pairs, tol) for tol in tols]
+        decided = [(b, d) for b, d in zip(bounds, dense) if b[0] != "undecided"]
+        assert all(b == d for b, d in decided)
+        # the grid reaches every outcome of the bounds path
+        assert {b[0] for b in bounds} >= {"verified", "undecided"}
+        assert ("verified", False) in bounds or any(b[0] == "raised" for b in bounds)
+
+    @staticmethod
+    def _ratio(pairs):
+        """u / max(1, prod ||K_i||): the tol at which u stops verifying the product."""
+        with pytest.MonkeyPatch.context() as mp:
+            _bounds_only(mp)
+            upper = nfold_tensor_dual(pairs, 1.0).residual_bounds[1]
+        return upper / max(1.0, math.prod(operator_norm(p.target) for p in pairs))
+
+    @pytest.mark.parametrize("m, limit_mib", [(6, 200), (8, 50)])
+    def test_power_path_memory(self, m, limit_mib):
+        """6 and 8 factors of d = 2, n = 2 (4096 and 65536 rows) with the tol
+        between the ratios of m - 1 and m factors: every partial product is
+        verified by u, and the full product runs the power steps."""
+        rng = make_rng(340 + m)
+        pairs = [_perturbed_pair(2, 2, 3, rng) for _ in range(m)]
+        tol = (self._ratio(pairs[:-1]) + self._ratio(pairs)) / 2
+        out, peak = _traced(nfold_tensor_dual, pairs, tol)
+        lower, upper = out.residual_bounds
+        tau = tol * max(1.0, np.prod([operator_norm(p.target) for p in pairs]))
+        assert out.reconstruction_residual is None and lower <= tau < upper
+        assert out.undecided == m and not out.verified
+        assert peak < limit_mib * 2**20
+
+    def test_six_factor_cli_verified_by_upper_bound(self, tmp_path):
+        paths = []
+        for seed in range(1, 7):
+            paths.append(str(tmp_path / f"dp{seed}.json"))
+            save_spec(generate_instance("dual-pair", 2, 2, 3, seed), paths[-1])
+        code, report = run_command(["tensor", *paths])
+        assert code == 0 and report.verdicts == {"verified": True, "factors": 6}
+        res = report.residuals
+        assert "tensor_residual" not in res and res["tensor_residual_kind"] == "bounds"
+        assert res["tensor_residual_lower"] == 0.0  # u decided; no power step ran
+        k_norm = np.prod([
+            operator_norm(generate_instance("dual-pair", 2, 2, 3, seed).target_operator)
+            for seed in range(1, 7)
+        ])
+        assert res["tensor_residual_upper"] <= 1e-9 * max(1.0, k_norm)
+
+    def _write(self, tmp_path, pairs):
+        paths = []
+        for i, p in enumerate(pairs):
+            spec = generate_instance("dual-pair", 2, 2, 3, seed=0)
+            spec.operators = p.primary_family.members
+            spec.second_operators = p.dual_family.members
+            spec.target_operator = p.target
+            paths.append(str(tmp_path / f"pair{i}.json"))
+            save_spec(spec, paths[-1])
+        return paths
+
+    def test_cli_undecided_exits_2(self, tmp_path):
+        """7 factors (16384 rows): a tol between the ratios of 6 and 7 factors
+        leaves the full product undecided, and one between those of 5 and 6
+        factors the 6-factor partial product; both exit 2."""
+        rng = make_rng(350)
+        pairs = [_perturbed_pair(2, 2, 3, rng, 1e-4) for _ in range(7)]
+        paths = self._write(tmp_path, pairs)
+        ratios = [self._ratio(pairs[:k]) for k in (5, 6, 7)]
+        for tol, undecided in (((ratios[1] + ratios[2]) / 2, 7), ((ratios[0] + ratios[1]) / 2, 6)):
+            code, report = run_command(["tensor", *paths, "--tol", repr(tol)])
+            assert code == 2, report.error
+            assert report.verdicts == {"verified": False, "factors": 7, "undecided_factors": undecided}
+            res = report.residuals
+            assert "tensor_residual" not in res and res["tensor_residual_kind"] == "bounds"
+            tau = tol * math.prod(operator_norm(p.target) for p in pairs[:undecided])
+            assert 0.0 < res["tensor_residual_lower"] <= tau < res["tensor_residual_upper"]
+
+    def test_cli_falsified_by_lower_bound(self, tmp_path):
+        """Two factors of d = 1, n = 33 (1089 rows) whose duals are scaled by
+        1 + 0.9 tol: each factor is verified, and D is about 1.8 tol K_1 (x) K_2,
+        so the power steps find a residual above tau and the product exits 1."""
+        tol = 1e-6
+        rng = make_rng(360)
+        pairs, paths = [], []
+        for i in range(2):
+            fam = OperatorFamily([random_operator(1, 33, 33, rng) for _ in range(2)])
+            k = random_operator(1, 33, 33, rng)
+            dual = OperatorFamily([g * (1 + 0.9 * tol) for g in canonical_dual(fam, k).members])
+            pairs.append(verify_dual(fam, dual, k, tol))
+            spec = generate_instance("dual-pair", 1, 33, 2, seed=0)
+            spec.operators, spec.second_operators, spec.target_operator = fam.members, dual.members, k
+            paths.append(str(tmp_path / f"pair{i}.json"))
+            save_spec(spec, paths[-1])
+        assert all(p.verified for p in pairs)
+        code, report = run_command(["tensor", *paths, "--tol", repr(tol)])
+        assert code == 1, report.error
+        assert report.verdicts == {"verified": False, "factors": 2}
+        tau = tol * math.prod(operator_norm(p.target) for p in pairs)
+        lower, upper = (report.residuals[f"tensor_residual_{s}"] for s in ("lower", "upper"))
+        assert tau < lower <= upper
+        assert lower == pytest.approx(1.8 * tau, rel=1e-2)
