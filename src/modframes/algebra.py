@@ -3,7 +3,8 @@
 Algebra elements are plain complex d x d ndarrays; the functions here give
 them the C*-structure: involution, positivity and the Loewner order,
 positive square roots, modulus, and an invertibility test used for
-"strictly nonzero" bound elements.
+"strictly nonzero" bound elements.  The package's one kernel rule
+(``KERNEL_RTOL``, ``range_mask``) lives here, below every module using it.
 
 Positivity is decided with a relative tolerance: an element counts as
 positive when it is Hermitian within ``tol * (1 + ||a||)`` and its smallest
@@ -20,9 +21,15 @@ from .errors import NotPositiveError, ShapeMismatchError
 
 DEFAULT_TOL = 1e-9
 
-#: Invertibility cap: elements whose condition number exceeds this are not
-#: accepted as "strictly nonzero" bound elements.
-DEFAULT_COND_CAP = 1e12
+# Eigenvalues of a PSD s below this multiple of its largest span its kernel;
+# p reaches that kernel when p's largest eigenvalue there exceeds this
+# multiple of p's whole trace.
+KERNEL_RTOL = 1e-12
+
+
+def range_mask(w: np.ndarray) -> np.ndarray:
+    """The kernel rule on s's ascending eigenvalues w: True on s's range."""
+    return w > KERNEL_RTOL * max(float(w[-1]), 0.0)
 
 
 def as_element(a) -> np.ndarray:
@@ -125,15 +132,10 @@ def abs_element(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return sqrt_psd(np.conj(a.T) @ a, tol)
 
 
-def is_strictly_nonzero(a: np.ndarray, cond_cap: float = DEFAULT_COND_CAP) -> bool:
-    """Whether a is invertible with condition number at most ``cond_cap``.
-
-    This is the working interpretation of a "strictly nonzero" bound
-    element: bound elements get multiplied and norm-divided, so they must be
-    invertible with controlled conditioning.
+def is_strictly_nonzero(a: np.ndarray) -> bool:
+    """Whether the kernel rule finds no kernel in a a* (eigenvalues sigma(a)^2),
+    i.e. cond(a) < 1e6: bound elements get multiplied and norm-divided, so
+    they must be invertible, as ``canonical_dual`` asks of the frame operator.
     """
-    a = as_element(a)
-    sigma = np.linalg.svd(a, compute_uv=False)
-    if sigma[-1] <= 0.0:
-        return False
-    return bool(sigma[0] / sigma[-1] <= cond_cap)
+    sigma = np.linalg.svd(as_element(a), compute_uv=False)
+    return bool(range_mask(sigma[::-1] ** 2)[0])  # the smallest decides

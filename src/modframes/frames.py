@@ -39,7 +39,7 @@ from .errors import (
     ShapeMismatchError,
     SpecFormatError,
 )
-from .module import ModuleSpace, ModuleVector, module_action, norm
+from .module import ModuleVector, module_action, norm
 from .module import sample_vectors  # noqa: F401  (public name of this module too)
 from .operators import (
     ModuleOperator,
@@ -81,9 +81,6 @@ class OperatorFamily:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def codomain(self) -> ModuleSpace:
-        return ModuleSpace.direct_sum_of(self.dim, self.target_ranks)
 
     @property
     def gram(self) -> np.ndarray:

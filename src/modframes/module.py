@@ -86,10 +86,6 @@ class ModuleVector:
             raise IndexError(f"block index {i} out of range for rank {self.rank}")
         return self.flat[:, i * self.dim : (i + 1) * self.dim].copy()
 
-    @property
-    def space(self) -> ModuleSpace:
-        return ModuleSpace(dim=self.dim, rank=self.rank)
-
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         _check_same_space(self, other)
         return ModuleVector(self.dim, self.rank, self.flat + other.flat)

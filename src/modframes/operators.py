@@ -10,10 +10,11 @@ plain dense linear algebra on the flattened matrices.
 
 ``pencil_max`` is the only pencil routine, so the optimal lower frame bound,
 the perturbation constant and the minimal dual share its kernel rule
-(``range_mask``, ``kernel_reach``).  It takes s as its ``eigh``, a frame
-operator's cached ``OperatorFamily.spectrum``; ``pencil_alpha_flat`` is the
-entry for a raw matrix s.  ``douglas_check`` decides range inclusion by the
-same rule, on the ``eigh`` of l* l that one SVD of l gives.
+(``algebra.range_mask``, ``kernel_reach``: reach is per direction, so every
+range lies in itself).  It takes s as its ``eigh``, a frame operator's cached
+``OperatorFamily.spectrum``; ``pencil_alpha_flat`` is the entry for a raw
+matrix s.  ``douglas_check`` decides range inclusion by the same rule, on the
+``eigh`` of l* l that one SVD of l gives, and ``pseudoinverse`` keeps its cut.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra
+from .algebra import KERNEL_RTOL, range_mask
 from .errors import NotPositiveError, ShapeMismatchError
 from .module import ModuleVector
 
@@ -141,12 +143,12 @@ def operator_norm(T: ModuleOperator) -> float:
     return float(np.linalg.norm(T.flat, 2))
 
 
-def pseudoinverse(T: ModuleOperator, rank_tol: float = 1e-12) -> ModuleOperator:
-    """Moore-Penrose pseudoinverse on the flattened matrix.
-
-    Singular values below ``rank_tol`` times the largest are treated as zero.
-    """
-    pinv = np.linalg.pinv(T.flat, rcond=rank_tol)
+def pseudoinverse(T: ModuleOperator) -> ModuleOperator:
+    """Moore-Penrose pseudoinverse of the flattened matrix, keeping the singular
+    values ``douglas_check`` keeps (sigma^2 > ``KERNEL_RTOL`` sigma_max^2)."""
+    u, s, vh = np.linalg.svd(T.flat, full_matrices=False)
+    r = int(np.sum(range_mask(s[::-1] ** 2)))  # s descends, so the kept values lead
+    pinv = (np.conj(vh[:r].T) / s[:r]) @ np.conj(u[:, :r].T)
     return ModuleOperator(T.dim, T.target_rank, T.source_rank, pinv)
 
 
@@ -204,26 +206,19 @@ def douglas_check(K: ModuleOperator, L: ModuleOperator) -> DouglasReport:
     return DouglasReport(range_included=True, lambda_min=lam, factor=factor, residual=residual)
 
 
-# Eigenvalues of s below this multiple of its largest one span its kernel;
-# p reaches that kernel when its trace there exceeds this multiple of its
-# whole trace.
-KERNEL_RTOL = 1e-12
-
-
-def range_mask(w: np.ndarray) -> np.ndarray:
-    """The kernel rule on s's ascending eigenvalues w: True on s's range."""
-    return w > KERNEL_RTOL * max(float(w[-1]), 0.0)
-
-
 def kernel_reach(p: np.ndarray, spectrum: tuple) -> np.ndarray | None:
     """The kernel rule's test for Hermitian PSD p and s = ``spectrum`` (its ``eigh``):
-    None unless p reaches s's kernel, else the kernel direction where p is largest."""
+    None unless p reaches s's kernel V0, else the kernel direction where p is largest.
+    p reaches V0 when the top eigenvalue of V0* p V0 exceeds ``KERNEL_RTOL`` tr(p),
+    so s never reaches its own; the trace, which bounds it, filters first."""
     w, v = spectrum
     v0 = v[:, ~range_mask(w)]
     p0 = np.conj(v0.T) @ p @ v0
-    if float(np.trace(p0).real) > KERNEL_RTOL * float(np.trace(p).real):
-        return v0 @ np.linalg.eigh(algebra.hermitian_part(p0))[1][:, -1]
-    return None
+    cut = KERNEL_RTOL * float(np.trace(p).real)
+    if float(np.trace(p0).real) <= cut:
+        return None
+    lam, y = np.linalg.eigh(algebra.hermitian_part(p0))
+    return v0 @ y[:, -1] if lam[-1] > cut else None
 
 
 def pencil_max(p: np.ndarray, spectrum: tuple[np.ndarray, np.ndarray]) -> tuple[float, np.ndarray]:
@@ -269,9 +264,9 @@ def operator_pencil_alpha(P: ModuleOperator, S: ModuleOperator, tol: float = 1e-
     for name, op in (("P", P), ("S", S)):
         if not op.is_endomorphism():
             raise ShapeMismatchError(f"{name} must be an endomorphism")
-        nrm = operator_norm(op)
-        if float(np.linalg.norm(op.flat - np.conj(op.flat.T), 2)) > tol * (1.0 + nrm):
+        verdict = algebra.is_positive(op.flat, tol)
+        if not verdict.is_hermitian:
             raise NotPositiveError(f"{name} is not self-adjoint")
-        if float(np.linalg.eigvalsh(algebra.hermitian_part(op.flat))[0]) < -tol * (1.0 + nrm):
+        if not verdict.is_positive:
             raise NotPositiveError(f"{name} is not positive")
     return pencil_alpha_flat(P.flat, S.flat)

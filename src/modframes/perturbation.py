@@ -114,10 +114,10 @@ def perturbation_check(
 
     Hypotheses checked first: {L_i} must certify (not falsify) against
     (K, boundsL), and range(Lop) must be contained in range(K) with K of
-    closed range (automatic here; ``douglas_check`` decides it unless Lop
-    is K).  M is then computed exactly (a finite M is a hypothesis too), the
-    transferred bounds follow from it, and {G_i} is certified against Lop
-    at those bounds.  ``tol`` is ``certify``'s, for both certificates, and
+    closed range (automatic here; ``douglas_check`` decides it).  M is
+    then computed exactly (a finite M is a hypothesis too), the transferred
+    bounds follow from it, and {G_i} is certified against Lop at those
+    bounds.  ``tol`` is ``certify``'s, for both certificates, and
     1e3 * ``tol`` bounds ||K K* - I|| for the converse.
     """
     cert = certify(L, K, boundsL, tol)
@@ -125,14 +125,11 @@ def perturbation_check(
         raise HypothesisFailedError(
             "primary family falsified against (K, bounds)", witness=cert.witness
         )
-    # range(K) lies in itself; the kernel rule could deny it for a K with
-    # tiny singular values, so the check runs only for a distinct Lop.
-    if not np.array_equal(Lop.flat, K.flat):
-        incl = douglas_check(Lop, K)
-        if not incl.range_included:
-            raise HypothesisFailedError(
-                "range(Lop) is not contained in range(K)", witness=incl.witness
-            )
+    incl = douglas_check(Lop, K)
+    if not incl.range_included:
+        raise HypothesisFailedError(
+            "range(Lop) is not contained in range(K)", witness=incl.witness
+        )
 
     m, witness = _exact_constant(L, G)
     if math.isinf(m):

@@ -35,6 +35,21 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))[None, :]
 
 
+def tiny_singular_target() -> ModuleOperator:
+    """K = U diag(1, 6.3e-7 x 7) V^H (d = 2, n = 4) from seeded unitaries: its
+    seven small singular values have sigma^2 = 4e-13 < 1e-12 sigma_max^2, so the
+    kernel rule marks them as the kernel of K*K."""
+    rng = make_rng(31)
+    u, v = random_unitary(8, rng), random_unitary(8, rng)
+    return ModuleOperator(2, 4, 4, (u * np.r_[1.0, [6.3e-7] * 7]) @ np.conj(v.T))
+
+
+def parseval_family(k: ModuleOperator) -> OperatorFamily:
+    """The Parseval *-K-g-frame of one member whose flat is K^H: its frame
+    operator K^H K is flat(KK*), so the optimal lower bound is 1."""
+    return OperatorFamily([ModuleOperator(k.dim, k.source_rank, k.source_rank, np.conj(k.flat.T))])
+
+
 def pencil_alpha_bisect(p: np.ndarray, s: np.ndarray, tol: float = 1e-12) -> float:
     """Independent oracle for the pencil extremum: bisection on the
     feasibility predicate lambda_min(s - a*p) >= -slack."""

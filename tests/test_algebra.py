@@ -139,9 +139,15 @@ class TestStrictlyNonzero:
         assert not algebra.is_strictly_nonzero(algebra.zero(2))
 
     def test_condition_cap(self):
+        """a a* has eigenvalues sigma^2, so the kernel rule's cut
+        sigma_min^2 > 1e-12 sigma_max^2 is cond(a) < 1e6."""
         a = np.diag([1.0, 1e-15]).astype(complex)
-        assert not algebra.is_strictly_nonzero(a, cond_cap=1e12)
-        assert algebra.is_strictly_nonzero(np.diag([1.0, 1e-3]).astype(complex), cond_cap=1e12)
+        assert not algebra.is_strictly_nonzero(a)
+        assert algebra.is_strictly_nonzero(np.diag([1.0, 1e-3]).astype(complex))
+        u, v = random_unitary(3, make_rng(8)), random_unitary(3, make_rng(9))
+        for cond, strict in ((9e5, True), (2e6, False)):
+            a = (u * np.array([1.0, 0.5, 1.0 / cond])) @ np.conj(v.T)
+            assert algebra.is_strictly_nonzero(a) is strict
 
 
 @settings(max_examples=50, deadline=None)

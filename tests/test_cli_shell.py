@@ -18,7 +18,7 @@ from modframes import FrameBounds, ModuleOperator, cli, generate_instance, load_
 from modframes import io as spec_io
 from modframes.cli import RunReport, run_command
 from modframes.io import GENERATOR_KINDS, FrameSpecFile
-from conftest import random_unitary
+from conftest import parseval_family, random_unitary, tiny_singular_target
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -580,3 +580,26 @@ def test_douglas_ignores_tol(tmp_path, included):
         report.pop("command")
         texts.append(json.dumps(report, sort_keys=True))
     assert texts[0] == texts[1]
+
+
+# -- every range lies in itself ----------------------------------------------
+
+def test_douglas_of_a_target_on_itself_exits_0(tmp_path):
+    """[K, K] with seven sigma^2 = 4e-13 directions: included, lambda 1."""
+    k = tiny_singular_target()
+    code, report = _douglas(tmp_path, k.flat, k.flat)
+    assert code == 0
+    assert report["residuals"]["lambda_min"] == pytest.approx(1.0, rel=1e-9)
+
+
+def test_parseval_frame_of_a_tiny_singular_target(tmp_path):
+    """``bounds`` reports the optimum lower 1; the minimal dual is built
+    (exit 1, not 4), its reconstruction off by K's dropped 6.3e-7."""
+    k = tiny_singular_target()
+    path = tmp_path / "parseval.json"
+    save_spec(FrameSpecFile(2, 4, parseval_family(k).members, target_operator=k), path)
+    code, report = run_command(["bounds", str(path)])
+    assert code == 0 and report.bounds["lower"] == pytest.approx(1.0, abs=1e-9)
+    code, report = run_command(["dual", str(path), "--method", "minimal"])
+    assert code == 1 and report.verdicts["verified"] is False
+    assert report.residuals["reconstruction"] == pytest.approx(6.3e-7, rel=1e-6)

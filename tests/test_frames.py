@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from modframes import frames
 from modframes import (
@@ -40,7 +39,16 @@ from modframes import (
     transform_coisometry,
     transform_precompose,
 )
-from conftest import descent_oracle, direct_gap_eigs, make_rng, random_family, random_unitary
+from conftest import (
+    cholesky_pencil_max,
+    descent_oracle,
+    direct_gap_eigs,
+    make_rng,
+    parseval_family,
+    random_family,
+    random_unitary,
+    tiny_singular_target,
+)
 
 
 def coordinate_family(n: int) -> OperatorFamily:
@@ -313,13 +321,19 @@ class TestOptimalBounds:
             alpha, beta = optimal_scalar_bounds(fam, k)
             s = frame_operator(fam).flat
             m = np.conj(k.flat.T) @ k.flat
-            gen = scipy.linalg.eigh(
-                0.5 * (s + np.conj(s.T)), 0.5 * (m + np.conj(m.T)), eigvals_only=True
-            )
-            assert alpha == pytest.approx(math.sqrt(max(gen[0], 0.0)), abs=1e-8)
+            gen_min = -cholesky_pencil_max(-s, m)  # lambda_min of the pencil (s, m)
+            assert alpha == pytest.approx(math.sqrt(max(gen_min, 0.0)), abs=1e-8)
             assert beta == pytest.approx(
-                math.sqrt(scipy.linalg.svdvals(s)[0]), abs=1e-8
+                math.sqrt(np.linalg.svd(s, compute_uv=False)[0]), abs=1e-8
             )
+
+    def test_parseval_frame_of_tiny_singular_target(self):
+        """S = flat(KK*) exactly, so alpha = 1: KK* reaches none of the seven
+        kernel directions of S beyond 1e-12 of its trace."""
+        k = tiny_singular_target()
+        alpha, beta = optimal_scalar_bounds(parseval_family(k), k)
+        assert alpha == pytest.approx(1.0, abs=1e-9)
+        assert beta == pytest.approx(1.0, abs=1e-9)
 
     def test_certify_passes_at_relaxed_and_fails_above(self):
         rng = make_rng(3)

@@ -237,11 +237,12 @@ class TestInputBoundary:
         assert capfd.readouterr().err == ""
 
     @pytest.mark.parametrize("side", ["lower", "upper"])
-    @pytest.mark.parametrize("entry", [0.0, 1e30])
+    @pytest.mark.parametrize("entry", [0.0, 1e-9, 1e30])
     def test_algebra_bound_not_safely_invertible(self, tmp_path, side, entry, capfd):
-        """An algebra bound with condition number above 1e12 (one diagonal entry
-        0 or 1e30 beside 1) is an input error naming the bound, like any other
-        bad field; certify's own check names it, so a direct call does too."""
+        """An algebra bound a in whose a a* the kernel rule finds a kernel
+        (cond(a) >= 1e6: one diagonal entry 0, 1e-9 or 1e30 beside 1) is an
+        input error naming the bound, like any other bad field; certify's own
+        check names it, so a direct call does too."""
         spec = generate_instance("perturbed-pair", 2, 2, 2, seed=1)
         bad = np.diag([entry, 1.0]).astype(complex)
         spec.bounds = FrameBounds(lower=bad if side == "lower" else spec.bounds.lower,

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modframes import (
     ModuleOperator,
@@ -25,13 +27,15 @@ from modframes import (
     random_vector,
     unflatten,
 )
-from modframes.operators import pencil_alpha_flat, pencil_max
+from modframes.operators import kernel_reach, pencil_alpha_flat, pencil_max
 from conftest import (
     cholesky_pencil_max,
     douglas_oracle,
     make_rng,
     pencil_alpha_bisect,
     random_psd,
+    random_unitary,
+    tiny_singular_target,
 )
 
 
@@ -156,6 +160,25 @@ class TestPseudoinverse:
             left = flatten(t) @ flatten(p) @ flatten(t)
             assert np.linalg.norm(left - flatten(t), 2) <= 1e-10 * (1 + np.linalg.norm(t.flat, 2))
 
+    def test_drops_what_the_kernel_rule_drops(self):
+        """sigma = 1e-8 sigma_max has sigma^2 below 1e-12 sigma_max^2: dropped,
+        so ||pinv|| is 1 / 0.5 and not 1e8."""
+        rng = make_rng(15)
+        u, v = random_unitary(4, rng), random_unitary(4, rng)
+        t = ModuleOperator(2, 2, 2, (u * np.array([1.0, 0.5, 1e-8, 0.0])) @ np.conj(v.T))
+        assert np.linalg.norm(pseudoinverse(t).flat, 2) == pytest.approx(2.0, rel=1e-9)
+
+    def test_douglas_factor_is_k_times_pinv_l(self):
+        """For rank-deficient L and K = D L, douglas's factor is k pinv(l):
+        the two routines keep the same singular values of l."""
+        rng = make_rng(16)
+        for _ in range(10):
+            l = compose(random_operator(2, 3, 1, rng), random_operator(2, 1, 3, rng))
+            k = compose(random_operator(2, 3, 3, rng), l)
+            factor = douglas_check(k, l).factor.flat
+            expected = k.flat @ pseudoinverse(l).flat
+            assert np.linalg.norm(factor - expected, 2) <= 1e-10 * np.linalg.norm(expected, 2)
+
 
 def _assert_douglas_witness(k: np.ndarray, l: np.ndarray, witness) -> None:
     """The non-inclusion witness X = e_1 x* has L*X ~ 0 while K*X is not:
@@ -248,6 +271,14 @@ class TestDouglas:
         with pytest.raises(ShapeMismatchError):
             douglas_check(random_operator(2, 3, 2, rng), random_operator(2, 3, 3, rng))
 
+    def test_range_with_tiny_singular_values_lies_in_itself(self):
+        """K's seven sigma^2 = 4e-13 directions are kernel under the rule, and
+        k*k reaches none of them beyond 1e-12 of its trace: included, lambda 1."""
+        k = tiny_singular_target()
+        rep = douglas_check(k, k)
+        assert rep.range_included and rep.witness is None
+        assert rep.lambda_min == pytest.approx(1.0, rel=1e-9)
+
 
 class TestPencil:
     def test_identity_pair(self):
@@ -274,8 +305,18 @@ class TestPencil:
 
     def test_rejects_non_positive(self):
         bad = ModuleOperator(1, 2, 2, np.diag([1.0, -1.0]).astype(complex))
-        with pytest.raises(NotPositiveError):
+        with pytest.raises(NotPositiveError, match="P is not positive"):
             operator_pencil_alpha(bad, ModuleOperator.identity(1, 2))
+
+    def test_rejects_non_self_adjoint(self):
+        bad = ModuleOperator(1, 2, 2, np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
+        with pytest.raises(NotPositiveError, match="S is not self-adjoint"):
+            operator_pencil_alpha(ModuleOperator.identity(1, 2), bad)
+
+    def test_negative_tol_is_rejected(self):
+        eye = ModuleOperator.identity(1, 2)
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            operator_pencil_alpha(eye, eye, tol=-1e-9)
 
     def test_matches_bisection_oracle_full_rank(self):
         rng = make_rng(7)
@@ -358,6 +399,27 @@ class TestPencilMax:
         spec = generate_instance("bessel-only", 2, 2, 3, seed)
         alpha, beta = optimal_scalar_bounds(OperatorFamily(spec.operators), spec.target_operator)
         assert alpha == 0.0 and beta > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_psd_s_contains_its_own_range(data):
+    """Reach is per kernel direction: s never reaches its own kernel, and
+    lambda_max(s, s) = 1.  s has nd - kernel range eigenvalues in
+    [1e-3, 1] w_max and kernel eigenvalues in [0, 0.99e-12] w_max, at any scale
+    w_max.  (An eigenvalue at the cut itself falls on either side by eigh's
+    rounding, about 1e-3 of the cut, so the draw stops 1e-2 short of it.)"""
+    nd = data.draw(st.integers(2, 8))
+    kernel = data.draw(st.integers(1, nd - 1))
+    fracs = data.draw(st.lists(st.floats(0.0, 0.99), min_size=kernel, max_size=kernel))
+    w_max = 10.0 ** data.draw(st.floats(-12.0, 12.0))
+    rng = make_rng(data.draw(st.integers(0, 2**32 - 1)))
+    w = np.r_[w_max, w_max * rng.uniform(1e-3, 1.0, nd - kernel - 1), w_max * 1e-12 * np.array(fracs)]
+    u = random_unitary(nd, rng)
+    s = (u * w) @ np.conj(u.T)
+    spectrum = np.linalg.eigh(s)
+    assert kernel_reach(s, spectrum) is None
+    assert pencil_max(s, spectrum)[0] == pytest.approx(1.0, rel=1e-9)
 
 
 class TestPositivityBridge:

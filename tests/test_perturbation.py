@@ -237,9 +237,10 @@ class TestPerturbationCheck:
         assert np.linalg.norm(lop.flat @ x) == pytest.approx(1.0)
 
     def test_target_with_tiny_singular_values_contains_its_own_range(self):
-        """K = U diag(1, 6.3e-7 x 7) V^H (d = 2, n = 4): range(K) lies in itself,
-        although the kernel rule of ``douglas_check(K, K)`` marks the seven
-        small directions (sigma^2 = 4e-13) as kernel and denies it."""
+        """K = U diag(1, 6.3e-7 x 7) V^H (d = 2, n = 4): range(K) lies in itself.
+        ``douglas_check(K, K)`` marks the seven small directions (sigma^2 =
+        4e-13) as kernel, and k*k reaches none of them: the rule decides reach
+        per direction, so no special case for Lop = K is needed."""
         rng = make_rng(31)
         u, v = random_unitary(8, rng), random_unitary(8, rng)
         k = ModuleOperator(2, 4, 4, (u * np.r_[1.0, [6.3e-7] * 7]) @ np.conj(v.T))
