@@ -8,7 +8,8 @@ Every decision is exact, so only ``gen`` takes a seed (``--seed``, default
 0); the report's ``seed`` is that seed for ``gen`` and null otherwise.
 A JSON report is ``json.dumps(report, sort_keys=True)`` and a newline, compact
 like a spec file; ``--format text`` is the view for people.  The parser is
-built once per process; a rejected command line exits 3 with argparse's
+built once per process, and each subcommand takes only the flags it reads: a
+rejected command line (``bounds --tol 1e-3`` too) exits 3 with argparse's
 message in ``error`` and its usage on stderr.
 
 Exit codes:
@@ -19,8 +20,8 @@ Exit codes:
        --tol (the near-scalar window); the inequality fails, but no witness
        clears the tolerance.  Also a tensor product too large to form whose
        residual bounds straddle the tolerance (``undecided_factors``)
-    3  input error (missing file, parse error, inconsistent shapes,
-       non-finite or oversized entries)
+    3  input error (a path that cannot be read or written, parse error,
+       inconsistent shapes, non-finite or oversized entries)
     4  hypothesis failure (singular frame operator, missing range
        inclusion, non-co-isometry, infinite perturbation constant); a
        failure that carries a vector reports it as ``hypothesis_vector``
@@ -129,19 +130,6 @@ def _bounds_or_optimal(
     return FrameBounds.scalar(alpha, beta, family.dim), "optimal"
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=_at_least(0.0), default=1e-9, help="certification tolerance")
-    # Accepted and ignored, since every decision is exact; existing scripts
-    # (the benchmark's algebra-bounds workload among them) still pass them.
-    parser.add_argument("--samples", type=int, default=None, help=argparse.SUPPRESS)
-    parser.add_argument("--restarts", type=int, default=None, help=argparse.SUPPRESS)
-    parser.add_argument("--out", default=None, help="write the report to this path")
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument(
-        "--timing", action="store_true", help="record wall time (breaks byte determinism)"
-    )
-
-
 class ArgumentParseError(Exception):
     """A command line argparse rejects; the message is argparse's."""
 
@@ -166,41 +154,6 @@ def _at_least(least: int | float):
         return value
     read.__name__ = kind.__name__  # argparse's "invalid int value: 'x'" for a non-number
     return read
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="modframes",
-        description="Certify operator-family frame inequalities over matrix algebras.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_gen = sub.add_parser("gen", help="generate a reproducible instance file")
-    p_gen.add_argument("--kind", choices=spec_io.GENERATOR_KINDS, required=True)
-    p_gen.add_argument("--dim", type=_at_least(1), default=2, help="algebra dimension d")
-    p_gen.add_argument("--rank", type=_at_least(1), default=2, help="module rank n")
-    p_gen.add_argument("--count", type=_at_least(1), default=3, help="family member count")
-    p_gen.add_argument("--spec-out", required=True, help="instance file to write")
-    p_gen.add_argument("--seed", type=_at_least(0), default=0, help="generator seed")
-    _add_common(p_gen)
-
-    for name, helptext in (
-        ("verify", "certify a family against its target and bounds"),
-        ("bounds", "optimal scalar frame bounds"),
-        ("dual", "construct and verify a dual family"),
-        ("perturb", "perturbation transfer pipeline"),
-        ("douglas", "range-inclusion / majorization / factorization check"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("spec", help="frame specification file")
-        if name == "dual":
-            p.add_argument("--method", choices=("canonical", "minimal"), default="canonical")
-        _add_common(p)
-
-    p_tensor = sub.add_parser("tensor", help="tensor-product duality check")
-    p_tensor.add_argument("spec", nargs="+", help="dual-pair specification files")
-    _add_common(p_tensor)
-    return parser
 
 
 def _cmd_gen(args, report: RunReport) -> int:
@@ -354,15 +307,48 @@ def _cmd_douglas(args, report: RunReport) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "verify": _cmd_verify,
-    "bounds": _cmd_bounds,
-    "dual": _cmd_dual,
-    "perturb": _cmd_perturb,
-    "tensor": _cmd_tensor,
-    "douglas": _cmd_douglas,
-}
+def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand with its handler and only the flags that handler reads;
+    run_command reads --out, --format and --timing for every report."""
+    spec = ("spec", dict(help="frame specification file"))
+    tol = ("--tol", dict(type=_at_least(0.0), default=1e-9, help="certification tolerance"))
+    commands = (
+        ("gen", _cmd_gen, "generate a reproducible instance file", (
+            ("--kind", dict(choices=spec_io.GENERATOR_KINDS, required=True)),
+            ("--dim", dict(type=_at_least(1), default=2, help="algebra dimension d")),
+            ("--rank", dict(type=_at_least(1), default=2, help="module rank n")),
+            ("--count", dict(type=_at_least(1), default=3, help="family member count")),
+            ("--spec-out", dict(required=True, help="instance file to write")),
+            ("--seed", dict(type=_at_least(0), default=0, help="generator seed")),
+        )),
+        ("verify", _cmd_verify, "certify a family against its target and bounds", (
+            spec, tol,
+            # Accepted and ignored, since every decision is exact; the benchmark's
+            # algebra-bounds workload still passes them.
+            ("--samples", dict(type=int, help=argparse.SUPPRESS)),
+            ("--restarts", dict(type=int, help=argparse.SUPPRESS)),
+        )),
+        ("bounds", _cmd_bounds, "optimal scalar frame bounds", (spec,)),
+        ("dual", _cmd_dual, "construct and verify a dual family",
+         (spec, tol, ("--method", dict(choices=("canonical", "minimal"), default="canonical")))),
+        ("perturb", _cmd_perturb, "perturbation transfer pipeline", (spec, tol)),
+        ("douglas", _cmd_douglas, "range-inclusion / majorization / factorization check", (spec,)),
+        ("tensor", _cmd_tensor, "tensor-product duality check",
+         (("spec", dict(nargs="+", help="dual-pair specification files")), tol)),
+    )
+    parser = _Parser(prog="modframes",
+                     description="Certify operator-family frame inequalities over matrix algebras.")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, handler, helptext, flags in commands:
+        p = sub.add_parser(name, help=helptext)
+        p.set_defaults(handler=handler)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+        p.add_argument("--out", help="write the report to this path")
+        p.add_argument("--format", choices=("json", "text"), default="json")
+        p.add_argument("--timing", action="store_true",
+                       help="record wall time (breaks byte determinism)")
+    return parser
 
 
 _parser: argparse.ArgumentParser | None = None  # parse_args leaves it unchanged
@@ -386,30 +372,33 @@ def run_command(argv: list[str]) -> tuple[int, RunReport]:
     report = RunReport(command=list(argv), subcommand=args.subcommand)
     started = time.perf_counter()
     try:
-        code = _COMMANDS[args.subcommand](args, report)
+        code = args.handler(args, report)
     except HypothesisError as exc:
         report.error = f"{type(exc).__name__}: {exc}"
         if getattr(exc, "witness", None) is not None:
             report.witnesses["hypothesis_vector"] = spec_io.encode_vector(exc.witness)
         code = EXIT_HYPOTHESIS
     except Exception as exc:  # the CLI surfaces failures, it never panics
-        # ValueError is an input error (SpecFormatError too); LAPACK's LinAlgError is ours
-        internal = isinstance(exc, LinAlgError) or not isinstance(
-            exc, (FileNotFoundError, ValueError))
+        # ValueError (SpecFormatError too) and OSError (a path that cannot be read
+        # or written) are input errors; LAPACK's LinAlgError is ours
+        internal = isinstance(exc, LinAlgError) or not isinstance(exc, (OSError, ValueError))
         if internal:
             traceback.print_exc(file=sys.stderr)  # a bug: keep where it happened
         report.error = f"{'InternalError: ' if internal else ''}{type(exc).__name__}: {exc}"
         code = EXIT_INTERNAL if internal else EXIT_INPUT
-    if getattr(args, "timing", False):
+    if args.timing:
         report.timing_s = time.perf_counter() - started
 
-    rendered = report.render(getattr(args, "format", "json"))
-    out_path = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-    else:
-        sys.stdout.write(rendered)
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(report.render(args.format))
+            return code, report
+        except OSError as exc:  # the report still reaches stdout, naming --out
+            failure = f"--out: {type(exc).__name__}: {exc}"
+            report.error = failure if report.error is None else f"{report.error}; {failure}"
+            code = EXIT_INPUT
+    sys.stdout.write(report.render(args.format))
     return code, report
 
 

@@ -53,20 +53,6 @@ class ModuleOperator:
             )
 
     @classmethod
-    def from_blocks(cls, blocks) -> "ModuleOperator":
-        """Assemble from an n x m nest of d x d algebra elements."""
-        rows = [[algebra.as_element(b) for b in row] for row in blocks]
-        if not rows or not rows[0]:
-            raise ValueError("operator needs at least one block")
-        d = rows[0][0].shape[0]
-        m = len(rows[0])
-        if any(len(row) != m for row in rows) or any(
-            b.shape != (d, d) for row in rows for b in row
-        ):
-            raise ShapeMismatchError("ragged or mixed-dimension block structure")
-        return cls(dim=d, source_rank=len(rows), target_rank=m, flat=np.block(rows))
-
-    @classmethod
     def identity(cls, dim: int, rank: int) -> "ModuleOperator":
         return cls(dim, rank, rank, np.eye(rank * dim, dtype=np.complex128))
 

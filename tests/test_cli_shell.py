@@ -2,6 +2,7 @@
 operator, and the one writer of every spec and JSON report,
 ``json.dumps(obj, sort_keys=True)`` and a newline."""
 
+import argparse
 import copy
 import json
 import os
@@ -423,8 +424,11 @@ def test_reused_parser_matches_fresh_process(tmp_path, capsys):
         ("verify", ["--mode", "sampled"], "unrecognized arguments: --mode sampled"),
         ("verify", ["--format", "xml"],
          "argument --format: invalid choice: 'xml' (choose from 'json', 'text')"),
+        ("bounds", ["--tol", "1e-3"], "unrecognized arguments: --tol 1e-3"),
+        ("douglas", ["--tol", "1e-3"], "unrecognized arguments: --tol 1e-3"),
+        ("perturb", ["--samples", "5"], "unrecognized arguments: --samples 5"),
     ],
-    ids=["seed", "mode", "format"],
+    ids=["seed", "mode", "format", "bounds-tol", "douglas-tol", "perturb-samples"],
 )
 def test_parse_error_names_the_argument(tmp_path, capsys, sub, extra, message):
     spec = _spec(tmp_path)
@@ -475,12 +479,14 @@ def test_tol_must_be_finite_and_at_least_zero(tmp_path, capsys, value):
     spec = _falsified_spec(tmp_path)
     assert run_command(["verify", spec])[0] == 1
     capsys.readouterr()
-    for sub in ("verify", "dual", "perturb", "douglas"):
+    for sub in ("verify", "dual", "perturb"):
         code, report = run_command([sub, spec, f"--tol={value}"])
         message = f"argument --tol: must be a finite number at least 0, got {float(value)}"
         assert code == 3 and report.subcommand == "parse-error"
         assert report.error == f"argument parsing failed: {message}"
         assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    code, report = run_command(["douglas", spec, f"--tol={value}"])
+    assert code == 3 and report.error.endswith(f"unrecognized arguments: --tol={value}")
     code, report = run_command(["tensor", spec, spec, "--tol", value])
     assert code == 3 and report.error.startswith("argument parsing failed: argument --tol:")
 
@@ -489,7 +495,7 @@ def test_tol_zero_accepted(tmp_path, capsys):
     spec = _falsified_spec(tmp_path)
     code, report = run_command(["verify", spec, "--tol", "0"])
     assert code == 1 and report.verdicts["certificate"] == "falsified"
-    assert run_command(["bounds", spec, "--tol", "0.0"])[0] == 0
+    assert run_command(["bounds", spec, "--tol", "0.0"])[0] == 3  # bounds reads no --tol
     code, report = run_command(["verify", spec, "--tol", "x"])
     assert code == 3 and report.error.endswith("argument --tol: invalid float value: 'x'")
 
@@ -498,6 +504,73 @@ def test_help_still_exits_zero(capsys):
     code, report = run_command(["verify", "--help"])
     assert code == 0 and report.subcommand == "parse-error"
     assert capsys.readouterr().out.startswith("usage: modframes verify")
+
+
+# -- each subcommand takes only the flags it reads ---------------------------
+
+REPORT_FLAGS = {"--out", "--format", "--timing"}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    """34 flags in all: a flag added to every subcommand fails this."""
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+             for name, p in subparsers.choices.items()}
+    assert flags == {
+        "gen": {"--kind", "--dim", "--rank", "--count", "--spec-out", "--seed", *REPORT_FLAGS},
+        "verify": {"--tol", "--samples", "--restarts", *REPORT_FLAGS},
+        "bounds": REPORT_FLAGS,
+        "dual": {"--tol", "--method", *REPORT_FLAGS},
+        "perturb": {"--tol", *REPORT_FLAGS},
+        "tensor": {"--tol", *REPORT_FLAGS},
+        "douglas": REPORT_FLAGS,
+    }
+    assert sum(map(len, flags.values())) == 34
+
+
+def test_verify_ignores_the_benchmark_pair(tmp_path, capsys):
+    """``--samples 200 --restarts 4``, as the algebra-bounds workload passes them,
+    leave verify's report byte for byte the plain one, apart from ``command``."""
+    spec = _falsified_spec(tmp_path)
+    texts = []
+    for extra in ([], ["--samples", "200", "--restarts", "4"]):
+        assert run_command(["verify", spec, *extra])[0] == 1
+        texts.append(capsys.readouterr().out)
+    plain, paired = (json.loads(text) for text in texts)
+    assert paired["command"] == ["verify", spec, "--samples", "200", "--restarts", "4"]
+    plain["command"] = paired["command"]
+    assert texts[1] == _compact(json.dumps(plain))
+
+
+# -- a path that cannot be read or written is an input error -----------------
+
+def test_unwritable_out_exits_3_with_the_report_on_stdout(tmp_path, capsys):
+    spec = _falsified_spec(tmp_path)
+    for out in (tmp_path / "missing" / "r.json", tmp_path):
+        code, report = run_command(["verify", spec, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3 and report.verdicts["certificate"] == "falsified"
+        assert report.error.startswith("--out: ") and "Error: " in report.error
+        assert captured.out == report.render("json") and captured.err == ""
+    assert not (tmp_path / "missing").exists()
+
+
+def test_out_failure_keeps_the_earlier_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    code, report = run_command(["bounds", missing, "--out", str(tmp_path / "no" / "r.json")])
+    assert code == 3 and report.error.startswith("FileNotFoundError: ")
+    assert "; --out: FileNotFoundError: " in report.error
+    assert capsys.readouterr().out == report.render("json")
+
+
+def test_directory_paths_are_input_errors(tmp_path, capsys):
+    for argv in (["verify", str(tmp_path)],
+                 ["gen", "--kind", "tight", "--spec-out", str(tmp_path)]):
+        code, report = run_command(argv)
+        assert code == 3, report.error
+        assert report.error.startswith("IsADirectoryError: ")
+        assert capsys.readouterr().err == ""
 
 
 # -- douglas -----------------------------------------------------------------
@@ -515,7 +588,7 @@ def test_douglas_names_the_mismatched_target_rank(tmp_path, capfd):
     assert capfd.readouterr().err == ""
 
 
-def _douglas(tmp_path, k: np.ndarray, l: np.ndarray, *flags) -> tuple[int, dict]:
+def _douglas(tmp_path, k: np.ndarray, l: np.ndarray) -> tuple[int, dict]:
     """Run ``douglas`` on flat (K, L) of d = 2 and return (exit code, JSON report).
 
     A verdict is required (exit 0 or 1).  On exit 1 the reported
@@ -527,7 +600,7 @@ def _douglas(tmp_path, k: np.ndarray, l: np.ndarray, *flags) -> tuple[int, dict]
     ops = [ModuleOperator(2, n, n, f) for f in (k, l)]
     save_spec(FrameSpecFile(algebra_dim=2, module_rank=n, operators=ops), path)
     out = tmp_path / "kl.report"
-    code, _ = run_command(["douglas", str(path), *flags, "--out", str(out)])
+    code, _ = run_command(["douglas", str(path), "--out", str(out)])
     report = json.loads(out.read_text(encoding="utf-8"))
     assert code in (0, 1), report["error"]
     assert report["verdicts"]["range_included"] is (code == 0)
@@ -563,23 +636,6 @@ def test_douglas_graded_invertible_l_gets_a_verdict(tmp_path, ratio):
     u, v = random_unitary(4, rng), random_unitary(4, rng)
     l = (u * np.geomspace(1.0, ratio, 4)) @ np.conj(v.T)
     assert _douglas(tmp_path, _cgauss(rng, 4, 4), l)[0] == (0 if ratio > 1e-6 else 1)
-
-
-@pytest.mark.parametrize("included", [True, False])
-def test_douglas_ignores_tol(tmp_path, included):
-    """--tol is a certification tolerance; douglas decides by the kernel rule
-    alone, so --tol 1e-3 leaves its report byte-identical, even for an L whose
-    sigma_min / sigma_max = 1e-4 lies between that tolerance and the rule's cut."""
-    rng = np.random.default_rng(13)
-    u = random_unitary(4, rng)
-    l = (u * np.array([1.0, 0.3, 1e-4, 0.0])) @ np.conj(u.T)
-    k = _cgauss(rng, 4, 4) @ (l if included else np.eye(4))
-    texts = []
-    for flags in ((), ("--tol", "1e-3")):
-        report = _douglas(tmp_path, k, l, *flags)[1]
-        report.pop("command")
-        texts.append(json.dumps(report, sort_keys=True))
-    assert texts[0] == texts[1]
 
 
 # -- every range lies in itself ----------------------------------------------

@@ -638,9 +638,7 @@ class TestCliContract:
         assert min(res["worst_lower_margin"], res["worst_upper_margin"]) >= -1e-9
         assert decode_vector(report.witnesses["M_witness"]).dim == 2
 
-    @pytest.mark.parametrize(
-        "kind, sub", [("known-bounds", "verify"), ("perturbed-pair", "perturb")]
-    )
+    @pytest.mark.parametrize("kind, sub", [("known-bounds", "verify")])
     def test_samples_accepted_and_ignored(self, tmp_path, capsys, kind, sub):
         path = self._gen(tmp_path, kind, 28)
         capsys.readouterr()
@@ -657,11 +655,12 @@ class TestCliContract:
     def test_exit_five_internal_error(self, tmp_path, monkeypatch, capsys):
         import modframes.cli as cli
 
-        def broken(args, report):
+        def broken(*args, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(cli._COMMANDS, "verify", broken)
-        code, report = run_command(["verify", str(tmp_path / "unused.json")])
+        path = self._gen(tmp_path, "known-bounds", 30)
+        monkeypatch.setattr(cli, "certify", broken)
+        code, report = run_command(["verify", str(path)])
         assert code == cli.EXIT_INTERNAL == 5
         assert report.error == "InternalError: RuntimeError: boom"
         assert "Traceback" in capsys.readouterr().err
