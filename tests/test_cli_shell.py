@@ -638,6 +638,23 @@ def test_douglas_graded_invertible_l_gets_a_verdict(tmp_path, ratio):
     assert _douglas(tmp_path, _cgauss(rng, 4, 4), l)[0] == (0 if ratio > 1e-6 else 1)
 
 
+@pytest.mark.parametrize("included", [True, False])
+def test_douglas_rejects_tol(tmp_path, capsys, included):
+    """douglas decides by the kernel rule alone and takes no --tol: an L with
+    sigma_min / sigma_max = 1e-4 gets its verdict without it, and adding
+    --tol 1e-3 is a parse error (exit 3) with no verdict."""
+    rng = np.random.default_rng(13)
+    u = random_unitary(4, rng)
+    l = (u * np.array([1.0, 0.3, 1e-4, 0.0])) @ np.conj(u.T)
+    k = _cgauss(rng, 4, 4) @ (l if included else np.eye(4))
+    assert _douglas(tmp_path, k, l)[0] == (0 if included else 1)
+    capsys.readouterr()
+    code, report = run_command(["douglas", str(tmp_path / "kl.json"), "--tol", "1e-3"])
+    assert code == 3 and report.subcommand == "parse-error"
+    assert report.error == "argument parsing failed: unrecognized arguments: --tol 1e-3"
+    assert capsys.readouterr().out == ""
+
+
 # -- every range lies in itself ----------------------------------------------
 
 def test_douglas_of_a_target_on_itself_exits_0(tmp_path):
