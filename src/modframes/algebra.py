@@ -23,7 +23,7 @@ DEFAULT_TOL = 1e-9
 
 # Eigenvalues of a PSD s below this multiple of its largest span its kernel;
 # p reaches that kernel when p's largest eigenvalue there exceeds this
-# multiple of p's whole trace.
+# multiple of p's whole trace, plus eigh's backward error, len(p) eps of it.
 KERNEL_RTOL = 1e-12
 
 

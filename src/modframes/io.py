@@ -8,6 +8,12 @@ written compact, ``json.dumps(spec, sort_keys=True)`` and a newline, and read
 in any layout; floats are spelled in shortest round-trip repr, so a round
 trip is byte-stable.  A spec sets no tolerance; a ``tolerances`` field loads
 only as ``gen`` once wrote it, since the duals' kernel rule is fixed.
+
+Every reader of a nest of [re, im] pairs walks it entry by entry, so a
+boolean in a pair is rejected, ``decode_vector`` included.  ``load_spec``
+skips the walk, reading each nest through one ``np.asarray``, only when its
+text spells neither ``true`` nor ``false``.  A spec with several faults names
+the first in read order, from a dict and a file alike.
 """
 
 from __future__ import annotations
@@ -50,20 +56,24 @@ def _nest_fault(data, shape: tuple, path: str) -> str | None:
     return None
 
 
-def _complex_nest(data, shape: tuple, path: str) -> np.ndarray:
-    """The complex array of ``shape`` that a nest of [re, im] pairs spells,
-    read through one ``np.asarray``; on any fault, the error names its field."""
-    try:
-        arr = np.asarray(data)
-        # integers beyond int64 leave an object array, read once all are numbers
-        if arr.shape == (*shape, 2) and (arr.dtype.kind in "iuf" or (
-                arr.dtype == object and {*map(type, arr.flat)} <= {int, float})):
-            arr = arr.astype(np.float64, copy=False)
-            if np.all(np.abs(arr) <= MAX_ENTRY):  # NaN and inf fail this too
-                return arr.view(np.complex128)[..., 0]  # bit for bit: signed zeros survive
-    except (ValueError, OverflowError):  # ragged nesting; an integer beyond the float range
-        pass
-    raise SpecFormatError(_nest_fault(data, shape, path) or f"{path}: expected [re, im] pairs")
+def _complex_nest(data, shape: tuple, path: str, fast: bool = False) -> np.ndarray:
+    """The complex array of ``shape`` that a nest of [re, im] pairs spells, bit
+    for bit; on any fault, the error names its field.  The nest is walked, then
+    read by one ``np.asarray``; ``fast`` reads first, unwalked, a nest known to
+    hold no boolean (which the read takes as 1 or 0), walking only if that fails."""
+    if fast:
+        try:
+            arr = np.asarray(data)
+            if arr.shape == (*shape, 2) and arr.dtype.kind in "iuf":
+                arr = arr.astype(np.float64, copy=False)
+                if np.all(np.abs(arr) <= MAX_ENTRY):  # NaN and inf fail this too
+                    return arr.view(np.complex128)[..., 0]
+        except (ValueError, OverflowError):  # ragged nesting; an integer beyond the float range
+            pass
+    fault = _nest_fault(data, shape, path)
+    if fault:
+        raise SpecFormatError(fault)
+    return np.asarray(data, dtype=np.float64).view(np.complex128)[..., 0]
 
 
 def _as_int(value, path: str, least: int = 1) -> int:
@@ -99,11 +109,11 @@ def encode_matrix(mat: np.ndarray) -> list:
     return np.stack((mat.real, mat.imag), axis=-1).tolist()
 
 
-def decode_operator(data, dim: int, source_rank: int, path: str) -> ModuleOperator:
+def _decode_operator(data, dim: int, source_rank: int, path: str, fast: bool) -> ModuleOperator:
     if not isinstance(data, dict):
         raise SpecFormatError(f"{path}: expected an object with target_rank and blocks")
     n, m = source_rank, _as_int(data.get("target_rank"), f"{path}.target_rank")
-    arr = _complex_nest(data.get("blocks"), (n, m, dim, dim), f"{path}.blocks")
+    arr = _complex_nest(data.get("blocks"), (n, m, dim, dim), f"{path}.blocks", fast)
     _known(data, ("target_rank", "blocks"), f"{path}.")
     return ModuleOperator(dim, n, m, arr.transpose(0, 2, 1, 3).reshape(n * dim, m * dim))
 
@@ -137,7 +147,7 @@ def encode_bounds(bounds: FrameBounds) -> dict:
     }
 
 
-def decode_bounds(data, dim: int, path: str = "bounds") -> FrameBounds:
+def _decode_bounds(data, dim: int, path: str, fast: bool) -> FrameBounds:
     if not isinstance(data, dict):
         raise SpecFormatError(f"{path}: expected an object with mode, lower and upper")
     if data.get("mode") not in ("scalar", "algebra"):
@@ -145,7 +155,7 @@ def decode_bounds(data, dim: int, path: str = "bounds") -> FrameBounds:
     scalar = data["mode"] == "scalar"
     lower, upper = (
         _as_positive(data.get(k), f"{path}.{k}") if scalar
-        else _complex_nest(data.get(k), (dim, dim), f"{path}.{k}") for k in ("lower", "upper")
+        else _complex_nest(data.get(k), (dim, dim), f"{path}.{k}", fast) for k in ("lower", "upper")
     )
     bounds = (FrameBounds.scalar(lower, upper, dim) if scalar
               else FrameBounds(lower=lower, upper=upper, mode="algebra"))
@@ -159,7 +169,7 @@ def _same_target(op: ModuleOperator, want: int, path: str, what: str) -> ModuleO
     return op
 
 
-def _family(data, dim: int, rank: int, path: str, like=None) -> list[ModuleOperator]:
+def _family(data, dim: int, rank: int, path: str, fast: bool, like=None) -> list[ModuleOperator]:
     """A non-empty list of operators on A^rank.  A second family is indexed
     ``like`` the first: one member per member, on the same target rank."""
     if not isinstance(data, list):
@@ -167,7 +177,7 @@ def _family(data, dim: int, rank: int, path: str, like=None) -> list[ModuleOpera
     if not data or like is not None and len(data) != len(like):
         want = "a non-empty list" if like is None else f"{len(like)} members, one per operator"
         raise SpecFormatError(f"{path}: expected {want}, got {len(data)}")
-    ops = [decode_operator(o, dim, rank, f"{path}[{i}]") for i, o in enumerate(data)]
+    ops = [_decode_operator(o, dim, rank, f"{path}[{i}]", fast) for i, o in enumerate(data)]
     for i, ref in enumerate(like or ()):
         _same_target(ops[i], ref.target_rank, f"{path}[{i}]", f"operators[{i}].target_rank")
     return ops
@@ -221,30 +231,30 @@ class FrameSpecFile:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FrameSpecFile":
-        """Read each field once, naming it in any error; an unknown key is one."""
-        spec = cls._read(data)
-        _reject_bool_pair(data, "")
-        return spec
+        """Read each field once, naming the first fault in read order; an unknown key is one."""
+        return cls._read(data, fast=False)
 
     @classmethod
-    def _read(cls, data: dict) -> "FrameSpecFile":
-        """``from_dict`` but for the walk that names a boolean in an [re, im] pair."""
+    def _read(cls, data: dict, fast: bool) -> "FrameSpecFile":
+        """``from_dict``, with ``fast`` passed to every nest of [re, im] pairs."""
         if not isinstance(data, dict):
             raise SpecFormatError("top level: expected a JSON object")
         for key in ("algebra_dim", "module_rank", "operators"):
             if key not in data:
                 raise SpecFormatError(f"{key}: required field missing")
         dim, rank = (_as_int(data[key], key) for key in ("algebra_dim", "module_rank"))
-        operators = _family(data["operators"], dim, rank, "operators")
+        operators = _family(data["operators"], dim, rank, "operators", fast)
 
         def endomorphism(value, path):  # K and aux map A^n to A^n
-            return _same_target(decode_operator(value, dim, rank, path), rank, path, "module_rank")
+            op = _decode_operator(value, dim, rank, path, fast)
+            return _same_target(op, rank, path, "module_rank")
 
         optional = {  # null reads as absent
-            "second_operators": lambda value, path: _family(value, dim, rank, path, operators),
+            "second_operators": lambda value, path: _family(
+                value, dim, rank, path, fast, operators),
             "target_operator": endomorphism,
             "aux_operator": endomorphism,
-            "bounds": lambda value, path: decode_bounds(value, dim, path),
+            "bounds": lambda value, path: _decode_bounds(value, dim, path, fast),
             # The seed records how ``gen`` made the file; no decision reads it.
             "seed": lambda value, path: _as_int(value, path, least=0),
         }
@@ -270,28 +280,13 @@ def load_spec(path) -> FrameSpecFile:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    spec = FrameSpecFile._read(data)
-    # No spec field is boolean.  Key names hold no "f" and few "u", and a search
-    # for one letter runs at memchr speed, many times faster than one for "true".
+    # No spec field is boolean, so a text spelling neither "true" nor "false" holds
+    # none for the unwalked read to take as 1 or 0.  Key names hold no "f" and few
+    # "u", and a one-letter search runs at memchr speed, many times faster than "true".
     at = text.find("u")
     while at >= 0 and text[max(at - 2, 0):at + 2] != "true":
         at = text.find("u", at + 1)
-    if at >= 0 or "f" in text and "false" in text:
-        _reject_bool_pair(data, "")
-    return spec
-
-
-def _reject_bool_pair(data, path: str) -> None:
-    """Name the first [re, im] pair holding a boolean: ``_read`` rejects a
-    boolean anywhere else, but ``np.asarray`` reads one in a pair as 1 or 0."""
-    if isinstance(data, dict):
-        for key, value in data.items():
-            _reject_bool_pair(value, f"{path}.{key}" if path else key)
-    elif isinstance(data, list):
-        if any(v is True or v is False for v in data):
-            raise SpecFormatError(f"{path}: complex entry must be a [re, im] pair, got {data!r}")
-        for i, value in enumerate(data):
-            _reject_bool_pair(value, f"{path}[{i}]")
+    return FrameSpecFile._read(data, fast=at < 0 and not ("f" in text and "false" in text))
 
 
 GENERATOR_KINDS = ("tight", "known-bounds", "bessel-only", "perturbed-pair", "dual-pair")

@@ -10,8 +10,9 @@ plain dense linear algebra on the flattened matrices.
 
 ``pencil_max`` is the only pencil routine, so the optimal lower frame bound,
 the perturbation constant and the minimal dual share its kernel rule
-(``algebra.range_mask``, ``kernel_reach``: reach is per direction, so every
-range lies in itself).  It takes s as its ``eigh``, a frame operator's cached
+(``algebra.range_mask``, ``kernel_reach``: reach is per direction and allows
+for ``eigh``'s backward error, so every range lies in itself, at the cut
+too).  It takes s as its ``eigh``, a frame operator's cached
 ``OperatorFamily.spectrum``; ``pencil_alpha_flat`` is the entry for a raw
 matrix s.  ``douglas_check`` decides range inclusion by the same rule, on the
 ``eigh`` of l* l that one SVD of l gives, and ``pseudoinverse`` keeps its cut.
@@ -195,12 +196,13 @@ def douglas_check(K: ModuleOperator, L: ModuleOperator) -> DouglasReport:
 def kernel_reach(p: np.ndarray, spectrum: tuple) -> np.ndarray | None:
     """The kernel rule's test for Hermitian PSD p and s = ``spectrum`` (its ``eigh``):
     None unless p reaches s's kernel V0, else the kernel direction where p is largest.
-    p reaches V0 when the top eigenvalue of V0* p V0 exceeds ``KERNEL_RTOL`` tr(p),
-    so s never reaches its own; the trace, which bounds it, filters first."""
+    p reaches V0 when the top eigenvalue of V0* p V0 exceeds (``KERNEL_RTOL`` +
+    len(p) eps) tr(p), the second term ``eigh``'s backward error, so s never
+    reaches its own, at the cut too; the trace, which bounds it, filters first."""
     w, v = spectrum
     v0 = v[:, ~range_mask(w)]
     p0 = np.conj(v0.T) @ p @ v0
-    cut = KERNEL_RTOL * float(np.trace(p).real)
+    cut = (KERNEL_RTOL + len(p) * np.finfo(np.float64).eps) * float(np.trace(p).real)
     if float(np.trace(p0).real) <= cut:
         return None
     lam, y = np.linalg.eigh(algebra.hermitian_part(p0))

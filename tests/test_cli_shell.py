@@ -239,20 +239,24 @@ def _decoded(spec: FrameSpecFile) -> dict:
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 @pytest.mark.parametrize("d, n, count", [(1, 2, 3), (2, 3, 4), (4, 2, 3)])
-def test_one_array_decode_is_bitwise_per_entry(kind, d, n, count):
+def test_one_array_decode_is_bitwise_per_entry(tmp_path, kind, d, n, count):
+    """Both reads, load_spec's unwalked one array and from_dict's walked one."""
     data = generate_instance(kind, d, n, count, seed=7).to_dict()
     # signed zeros and JSON integers must come through as complex(re, im) reads them
     first = data["operators"][0]["blocks"][0][0]
     first[0][0] = [-0.0, -0.0]
     if d > 1:
         first[0][1] = [3, -2]
-    fast = _decoded(FrameSpecFile.from_dict(copy.deepcopy(data)))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
     ops = dict(_all_operators(data))
-    assert fast.keys() == ops.keys()
-    for name, op in fast.items():
-        assert op.flat.tobytes() == _per_entry_flat(ops[name], d, n).tobytes(), name
-    corner = fast["operators[0]"].flat[0, 0]
-    assert np.signbit(corner.real) and np.signbit(corner.imag)
+    for spec in (load_spec(path), FrameSpecFile.from_dict(copy.deepcopy(data))):
+        read = _decoded(spec)
+        assert read.keys() == ops.keys()
+        for name, op in read.items():
+            assert op.flat.tobytes() == _per_entry_flat(ops[name], d, n).tobytes(), name
+        corner = read["operators[0]"].flat[0, 0]
+        assert np.signbit(corner.real) and np.signbit(corner.imag)
 
 
 def _set(path_keys, value):
@@ -338,20 +342,47 @@ def test_from_dict_names_a_bool_pair_as_load_spec_does(tmp_path, mutate, field):
 
 
 def test_load_spec_walks_for_bools_only_when_the_text_spells_one(tmp_path, monkeypatch):
+    """A clean text takes the unwalked read; one that spells true or false is
+    walked, which names the boolean pair the unwalked read would take as 1 or 0."""
     walks = []
-    monkeypatch.setattr(spec_io, "_reject_bool_pair", lambda data, path: walks.append(path))
+    walk = spec_io._nest_fault
+
+    def counted(data, shape, path):
+        walks.append(path)
+        return walk(data, shape, path)
+
+    monkeypatch.setattr(spec_io, "_nest_fault", counted)
     data = generate_instance("perturbed-pair", 2, 2, 3, seed=1).to_dict()
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))
     load_spec(path)
     assert walks == []
-    for spelled in (True, False):
-        _set(("operators", 0, "blocks", 0, 0, 1, 0, 0), spelled)(data)
-        path.write_text(json.dumps(data))
-        load_spec(path)
-    assert walks == ["", ""]
     FrameSpecFile.from_dict(data)
-    assert walks == ["", "", ""]
+    assert "operators[0].blocks" in walks and "bounds.lower" not in walks  # scalar bounds
+    for spelled in (True, False):
+        walks.clear()
+        _set(("operators", 1, "blocks", 0, 0, 1, 0, 0), spelled)(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(spec_io.SpecFormatError) as exc:
+            load_spec(path)
+        assert str(exc.value).startswith("operators[1].blocks[0][0][1][0]: complex entry")
+        assert walks[0] == "operators[0].blocks"
+
+
+def test_a_dict_and_a_file_name_the_first_fault_in_read_order(tmp_path):
+    """A boolean pair in operators[1] comes before a NaN in bounds.lower: both
+    readers walk each nest as they reach it, so both name the pair."""
+    spec = generate_instance("known-bounds", 2, 2, 3, seed=1)
+    spec.bounds = FrameBounds(lower=spec.bounds.lower, upper=spec.bounds.upper, mode="algebra")
+    data = spec.to_dict()
+    _set(("operators", 1, "blocks", 0, 0, 1, 0, 0), True)(data)
+    _set(("bounds", "lower", 0, 1, 0), float("nan"))(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    for read in (lambda: FrameSpecFile.from_dict(data), lambda: load_spec(path)):
+        with pytest.raises(spec_io.SpecFormatError) as exc:
+            read()
+        assert str(exc.value).startswith("operators[1].blocks[0][0][1][0]: complex entry")
 
 
 def test_integer_beyond_int64_inside_the_cap_is_read(tmp_path):

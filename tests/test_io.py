@@ -22,6 +22,7 @@ from modframes import (
     load_spec,
     save_spec,
 )
+from modframes import io as spec_io
 from modframes.cli import run_command
 from modframes.io import GENERATOR_KINDS, FrameSpecFile, decode_vector, encode_vector
 from conftest import make_rng, near_scalar_spec
@@ -69,9 +70,9 @@ class TestRoundTrip:
     @pytest.mark.parametrize(
         "change",
         [{"dim": "2"}, {"dim": 2.7}, {"dim": 2.0}, {"dim": True}, {"dim": 0}, {"blocks": 5},
-         {"blocks": []}, {"blocks": None}],
+         {"blocks": []}, {"blocks": None}, {"dim": 1, "blocks": [[[[True, 0.5]]]]}],
         ids=["dim-string", "dim-fraction", "dim-float", "dim-bool", "dim-zero", "blocks-int",
-             "blocks-empty", "blocks-null"],
+             "blocks-empty", "blocks-null", "blocks-bool-pair"],
     )
     def test_decode_vector_rejects_malformed(self, rng, change):
         from modframes import random_vector
@@ -79,6 +80,24 @@ class TestRoundTrip:
         data = {**encode_vector(random_vector(2, 3, rng)), **change}
         with pytest.raises(SpecFormatError, match="^vector"):
             decode_vector(data)
+
+    def test_every_nest_reader_names_a_bool_pair(self):
+        """A boolean in an [re, im] pair is no number to any reader of a nest:
+        a vector's, an operator's and an algebra-valued bound's."""
+        pair = [[[True, 0.5]]]
+        reads = {
+            "vector.blocks[0][0][0]": lambda: decode_vector({"dim": 1, "blocks": [pair]}),
+            "op.blocks[0][0][0][0]": lambda: spec_io._decode_operator(
+                {"target_rank": 1, "blocks": [[pair]]}, 1, 1, "op", fast=False),
+            "bounds.lower[0][0]": lambda: spec_io._decode_bounds(
+                {"mode": "algebra", "lower": pair, "upper": [[[1.0, 0.0]]]}, 1, "bounds",
+                fast=False),
+        }
+        for field, read in reads.items():
+            with pytest.raises(SpecFormatError) as err:
+                read()
+            message = f"{field}: complex entry must be a [re, im] pair, got [True, 0.5]"
+            assert str(err.value) == message
 
     def test_corrupted_entry_arity_names_field(self, tmp_path):
         spec = generate_instance("tight", 2, 2, 2, seed=1)

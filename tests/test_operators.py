@@ -27,7 +27,7 @@ from modframes import (
     random_vector,
     unflatten,
 )
-from modframes.operators import kernel_reach, pencil_alpha_flat, pencil_max
+from modframes.operators import kernel_reach, pencil_alpha_flat, pencil_max, range_mask
 from conftest import (
     cholesky_pencil_max,
     douglas_oracle,
@@ -406,12 +406,14 @@ class TestPencilMax:
 def test_every_psd_s_contains_its_own_range(data):
     """Reach is per kernel direction: s never reaches its own kernel, and
     lambda_max(s, s) = 1.  s has nd - kernel range eigenvalues in
-    [1e-3, 1] w_max and kernel eigenvalues in [0, 0.99e-12] w_max, at any scale
-    w_max.  (An eigenvalue at the cut itself falls on either side by eigh's
-    rounding, about 1e-3 of the cut, so the draw stops 1e-2 short of it.)"""
+    [1e-3, 1] w_max and kernel eigenvalues in [0, 1e-12] w_max, at any scale
+    w_max.  An eigenvalue at the cut itself falls on either side by eigh's
+    rounding, about 1e-3 of the cut: the reach test's len(p) eps term covers
+    it as kernel, and as range it whitens with condition up to 1e12, which
+    costs lambda_max(s, s) that many ulps."""
     nd = data.draw(st.integers(2, 8))
     kernel = data.draw(st.integers(1, nd - 1))
-    fracs = data.draw(st.lists(st.floats(0.0, 0.99), min_size=kernel, max_size=kernel))
+    fracs = data.draw(st.lists(st.floats(0.0, 1.0), min_size=kernel, max_size=kernel))
     w_max = 10.0 ** data.draw(st.floats(-12.0, 12.0))
     rng = make_rng(data.draw(st.integers(0, 2**32 - 1)))
     w = np.r_[w_max, w_max * rng.uniform(1e-3, 1.0, nd - kernel - 1), w_max * 1e-12 * np.array(fracs)]
@@ -419,7 +421,22 @@ def test_every_psd_s_contains_its_own_range(data):
     s = (u * w) @ np.conj(u.T)
     spectrum = np.linalg.eigh(s)
     assert kernel_reach(s, spectrum) is None
-    assert pencil_max(s, spectrum)[0] == pytest.approx(1.0, rel=1e-9)
+    kept = spectrum[0][range_mask(spectrum[0])]
+    rel = max(1e-9, nd * np.finfo(np.float64).eps * kept[-1] / kept[0])
+    assert pencil_max(s, spectrum)[0] == pytest.approx(1.0, rel=rel)
+
+
+@pytest.mark.parametrize("nd", range(2, 9))
+def test_a_rank_one_range_lies_in_itself_at_the_cut(nd):
+    """Kernel eigenvalues at the cut itself, where eigh's rounding decides
+    their side and the rank-one range leaves tr(s) no slack above the cut:
+    s never reaches its own kernel."""
+    rng = make_rng(nd)
+    for _ in range(25):
+        w = np.r_[1.0, np.full(nd - 1, 1e-12)] * 10.0 ** rng.uniform(-12.0, 12.0)
+        u = random_unitary(nd, rng)
+        s = (u * w) @ np.conj(u.T)
+        assert kernel_reach(s, np.linalg.eigh(s)) is None
 
 
 class TestPositivityBridge:
