@@ -4,7 +4,8 @@ Algebra elements are plain complex d x d ndarrays; the functions here give
 them the C*-structure: involution, positivity and the Loewner order,
 positive square roots, modulus, and an invertibility test used for
 "strictly nonzero" bound elements.  The package's one kernel rule
-(``KERNEL_RTOL``, ``range_mask``) lives here, below every module using it.
+(``KERNEL_RTOL``, ``range_mask``) and its one certification tolerance
+(``DEFAULT_TOL``, ``threshold``) live here, below every module using them.
 
 Positivity is decided with a relative tolerance: an element counts as
 positive when it is Hermitian within ``tol * (1 + ||a||)`` and its smallest
@@ -19,6 +20,7 @@ import numpy as np
 
 from .errors import NotPositiveError, ShapeMismatchError
 
+# The default of every decision's ``tol`` and of the CLI's --tol.
 DEFAULT_TOL = 1e-9
 
 # Eigenvalues of a PSD s below this multiple of its largest span its kernel;
@@ -30,6 +32,11 @@ KERNEL_RTOL = 1e-12
 def range_mask(w: np.ndarray) -> np.ndarray:
     """The kernel rule on s's ascending eigenvalues w: True on s's range."""
     return w > KERNEL_RTOL * max(float(w[-1]), 0.0)
+
+
+def threshold(tol: float, scale: float = 0.0) -> float:
+    """The one certification threshold: ``tol`` relative to ``scale`` above 1, absolute below."""
+    return tol * max(1.0, scale)
 
 
 def as_element(a) -> np.ndarray:

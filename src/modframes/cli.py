@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from numpy.linalg import LinAlgError
 
 from . import io as spec_io
+from .algebra import DEFAULT_TOL
 from .duals import canonical_dual, minimal_dual, verify_dual
 from .errors import HypothesisError
 from .frames import FrameBounds, OperatorFamily, certify, optimal_scalar_bounds
@@ -85,13 +86,13 @@ class RunReport:
         }
 
     def render(self, fmt: str) -> str:
-        d = self.to_dict()
+        d = self.to_dict()  # fresh dicts, lists and numbers: no cycle for json to check
         if fmt == "json":
-            return json.dumps(d, sort_keys=True) + "\n"
+            return json.dumps(d, sort_keys=True, check_circular=False) + "\n"
         lines = [f"modframes {self.subcommand}"]
         for key in sorted(d):
-            value = " ".join(d[key]) if key == "command" else json.dumps(d[key], sort_keys=True)
-            lines.append(f"{key}: {value}")
+            value = json.dumps(d[key], sort_keys=True, check_circular=False)
+            lines.append(f"{key}: {' '.join(d[key]) if key == 'command' else value}")
         return "\n".join(lines) + "\n"
 
 
@@ -311,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     """Each subcommand with its handler and only the flags that handler reads;
     run_command reads --out, --format and --timing for every report."""
     spec = ("spec", dict(help="frame specification file"))
-    tol = ("--tol", dict(type=_at_least(0.0), default=1e-9, help="certification tolerance"))
+    tol = ("--tol", dict(type=_at_least(0.0), default=DEFAULT_TOL, help="certification tolerance"))
     commands = (
         ("gen", _cmd_gen, "generate a reproducible instance file", (
             ("--kind", dict(choices=spec_io.GENERATOR_KINDS, required=True)),

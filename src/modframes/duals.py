@@ -29,8 +29,8 @@ class DualPair:
 
     ``reconstruction`` is R = sum_i L_i* G_i, as ``verify_dual`` built it, and
     ``reconstruction_residual`` the flattened operator norm of R - K; the
-    pair is ``verified`` when it is at most ``tol * max(1, ||K||)`` for the
-    ``tol`` of ``verify_dual``.
+    pair is ``verified`` when it is at most ``algebra.threshold(tol, ||K||)``
+    for the ``tol`` of ``verify_dual``.
     """
 
     primary_family: OperatorFamily
@@ -64,11 +64,11 @@ def reconstruction_operator(L: OperatorFamily, G: OperatorFamily) -> ModuleOpera
 
 
 def verify_dual(
-    L: OperatorFamily, G: OperatorFamily, K: ModuleOperator, tol: float = 1e-10
+    L: OperatorFamily, G: OperatorFamily, K: ModuleOperator, tol: float = algebra.DEFAULT_TOL
 ) -> DualPair:
     """Check the reconstruction identity as an exact operator identity.
 
-    The pair is verified when ``residual <= tol * max(1, ||K||)``: relative
+    The pair is verified when ``residual <= threshold(tol, ||K||)``: relative
     to the target's norm, so a rescaled correct pair stays verified, and
     absolute for targets of norm at most 1 (K = 0 included).
     """
@@ -81,7 +81,7 @@ def verify_dual(
         target=K,
         reconstruction=rec,
         reconstruction_residual=residual,
-        verified=residual <= tol * max(1.0, operator_norm(K)),
+        verified=residual <= algebra.threshold(tol, operator_norm(K)),
     )
 
 

@@ -269,18 +269,16 @@ def _structural_side(c1, p, c2, q) -> tuple[float, ModuleVector | None, str]:
 
 
 def certify(
-    F: OperatorFamily,
-    K: ModuleOperator,
-    bounds: FrameBounds,
-    tol: float = 1e-9,
+    F: OperatorFamily, K: ModuleOperator, bounds: FrameBounds, tol: float = algebra.DEFAULT_TOL
 ) -> FrameCertificate:
     """Decide the two-sided frame inequality for (F, K, bounds).
 
     Each side is the exact PSD test when its bound element is c*I, and the
     structural rule otherwise (see the module docstring).  The verdict is
-    ``falsified`` when a margin is below ``-tol`` (the witness comes from the
-    lower of the two sides), ``inconclusive`` when a structural side with a
-    nonzero Gram matrix stays within tolerance, and ``certified`` otherwise.
+    ``falsified`` when a margin is below ``-algebra.threshold(tol)``, which is
+    ``-tol`` (the witness comes from the side with the lower margin),
+    ``inconclusive`` when a structural side with a nonzero Gram matrix stays
+    within tolerance, and ``certified`` otherwise.
     """
     a_mod, b_mod = _check_certify_inputs(F, K, bounds)
     s_hat = F.gram
@@ -303,7 +301,7 @@ def certify(
     gap_lower, gap_upper = lower[0], upper[0]
     kinds = (lower[2], upper[2])
     witness = None
-    if min(gap_lower, gap_upper) < -tol:
+    if min(gap_lower, gap_upper) < -algebra.threshold(tol):
         verdict = "falsified"
         witness = lower[1] if gap_lower <= gap_upper else upper[1]
     elif "upper_bound" in kinds:
@@ -401,7 +399,7 @@ def norm_bound_check(
 
 
 def transform_coisometry(
-    F: OperatorFamily, K: ModuleOperator, U: ModuleOperator, tol: float = 1e-9
+    F: OperatorFamily, K: ModuleOperator, U: ModuleOperator, tol: float = algebra.DEFAULT_TOL
 ) -> OperatorFamily:
     """Family {L_i U*} for a co-isometry U commuting with K.
 
@@ -463,7 +461,7 @@ def range_transfer_check(
     K: ModuleOperator,
     L: ModuleOperator,
     bounds: FrameBounds,
-    tol: float = 1e-9,
+    tol: float = algebra.DEFAULT_TOL,
 ) -> FrameCertificate:
     """Re-certify a K-frame as an L-frame when range(L) is inside range(K).
 

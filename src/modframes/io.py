@@ -104,9 +104,9 @@ def _known(data: dict, keys, prefix: str) -> None:
 
 
 def encode_matrix(mat: np.ndarray) -> list:
-    """Nested lists of [re, im] float pairs, one per entry of ``mat`` (any shape)."""
+    """[re, im] float pairs nested as ``mat`` (any shape): the view ``_complex_nest`` reads."""
     mat = np.asarray(mat, dtype=np.complex128)
-    return np.stack((mat.real, mat.imag), axis=-1).tolist()
+    return np.ascontiguousarray(mat).view(np.float64).reshape(*mat.shape, 2).tolist()
 
 
 def _decode_operator(data, dim: int, source_rank: int, path: str, fast: bool) -> ModuleOperator:
@@ -265,7 +265,8 @@ class FrameSpecFile:
         return cls(dim, rank, operators, **read)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True) + "\n"
+        """``to_dict`` builds fresh dicts, lists and numbers: no cycle for json to check."""
+        return json.dumps(self.to_dict(), sort_keys=True, check_circular=False) + "\n"
 
 
 def save_spec(spec: FrameSpecFile, path) -> None:

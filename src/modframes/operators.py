@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra
-from .algebra import KERNEL_RTOL, range_mask
+from .algebra import DEFAULT_TOL, KERNEL_RTOL, range_mask
 from .errors import NotPositiveError, ShapeMismatchError
 from .module import ModuleVector
 
@@ -216,7 +216,9 @@ def pencil_max(p: np.ndarray, spectrum: tuple[np.ndarray, np.ndarray]) -> tuple[
     rule: s splits along ``range_mask(w)``.  When p reaches the kernel the
     supremum is ``inf`` and x is ``kernel_reach``'s direction; otherwise it
     is the largest eigenvalue of p whitened on the range of s.
-    A zero p gives 0 with x = e_1.
+    A zero p gives 0 with x = e_1.  Whitening amplifies eigh's residual, so
+    the result carries relative error up to about nd eps cond(s on its kept
+    range): near 1e-4 when an eigenvalue of s sits just above the cut.
     """
     p = algebra.hermitian_part(p)
     if not np.any(p):
@@ -241,7 +243,7 @@ def pencil_alpha_flat(p: np.ndarray, s: np.ndarray) -> float:
     return math.inf if lam == 0.0 else 1.0 / lam
 
 
-def operator_pencil_alpha(P: ModuleOperator, S: ModuleOperator, tol: float = 1e-9) -> float:
+def operator_pencil_alpha(P: ModuleOperator, S: ModuleOperator, tol: float = DEFAULT_TOL) -> float:
     """Pencil extremum for self-adjoint positive module endomorphisms.
 
     ``tol`` only validates the operands (self-adjoint and positive within

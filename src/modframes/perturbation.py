@@ -108,7 +108,7 @@ def perturbation_check(
     K: ModuleOperator,
     Lop: ModuleOperator,
     boundsL: FrameBounds,
-    tol: float = 1e-9,
+    tol: float = algebra.DEFAULT_TOL,
 ) -> PerturbationReport:
     """Full perturbation pipeline.
 
@@ -163,7 +163,7 @@ def _converse_if_applicable(
     Lop: ModuleOperator,
     norm_a: float,
     norm_b: float,
-    tol: float = 1e-9,
+    tol: float,
 ) -> float | None:
     """Converse constant when its hypotheses hold: K a co-isometry and
     range(K) inside range(Lop); (C, D) are taken as the optimal scalar

@@ -23,6 +23,7 @@ from functools import reduce
 
 import numpy as np
 
+from .algebra import DEFAULT_TOL, threshold
 from .duals import DualPair, verify_dual
 from .errors import HypothesisFailedError
 from .frames import OperatorFamily
@@ -86,7 +87,7 @@ def kron_family(F: OperatorFamily, G: OperatorFamily) -> OperatorFamily:
     )
 
 
-def tensor_dual_check(LP: DualPair, GP: DualPair, tol: float = 1e-10) -> DualPair:
+def tensor_dual_check(LP: DualPair, GP: DualPair, tol: float = DEFAULT_TOL) -> DualPair:
     """Form the tensor families and verify the product reconstruction.
 
     Given verified pairs for targets K and L, the doubly indexed family of
@@ -182,7 +183,7 @@ def _residual_lower(recs: list[np.ndarray], tgts: list[np.ndarray]) -> float:
     return lower
 
 
-def nfold_tensor_dual(pairs: list[DualPair], tol: float = 1e-10) -> DualPair | TensorDual:
+def nfold_tensor_dual(pairs: list[DualPair], tol: float = DEFAULT_TOL) -> DualPair | TensorDual:
     """Left fold of ``tensor_dual_check`` over ``pairs``, decided from the factors.
 
     Flattened, a product member is P (A_1 (x) ... (x) A_m) Q for permutation
@@ -194,7 +195,7 @@ def nfold_tensor_dual(pairs: list[DualPair], tol: float = 1e-10) -> DualPair | T
     dual Bessel bound is the product of the factors'.
 
     The product of the first k pairs is decided against
-    tau = tol * max(1, prod ||K_i||).  Telescoping D gives the certified
+    tau = threshold(tol, prod ||K_i||).  Telescoping D gives the certified
     bound u = sum_i ||R_i - K_i|| prod_{j<i} ||R_j|| prod_{j>i} ||K_j||, so
     u <= tau verifies a partial product with no matrix formed.  The full
     product, and a partial one u does not verify, take the exact 2-norm of
@@ -218,7 +219,7 @@ def nfold_tensor_dual(pairs: list[DualPair], tol: float = 1e-10) -> DualPair | T
         k_i = operator_norm(p.target)
         upper = upper * k_i + p.reconstruction_residual * r_norm
         k_norm *= k_i
-        tau = tol * max(1.0, k_norm)
+        tau = threshold(tol, k_norm)
         if k == len(pairs):
             return _decide(pairs, k, upper, tau)
         if k > 1 and upper > tau:

@@ -1,5 +1,6 @@
 """Algebra kernel: involution, positivity, Loewner order, roots, modulus."""
 
+import inspect
 import math
 
 import numpy as np
@@ -7,7 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modframes import NotPositiveError, ShapeMismatchError, algebra
+from modframes import NotPositiveError, ShapeMismatchError, algebra, cli
+from modframes import (
+    certify,
+    nfold_tensor_dual,
+    operator_pencil_alpha,
+    perturbation_check,
+    range_transfer_check,
+    tensor_dual_check,
+    transform_coisometry,
+    verify_dual,
+)
 from conftest import make_rng, random_psd, random_unitary
 
 
@@ -159,3 +170,24 @@ def test_sqrt_of_star_square_is_modulus(seed, d):
     # |a| is positive and squares back to a*a.
     assert algebra.is_positive(m).is_positive
     assert np.linalg.norm(m @ m - np.conj(a.T) @ a, 2) <= 1e-9 * (1 + np.linalg.norm(a, 2) ** 2)
+
+
+class TestThreshold:
+    """The one certification tolerance: its rule and its default."""
+
+    def test_absolute_up_to_scale_one_relative_above(self):
+        assert algebra.threshold(1e-9) == 1e-9
+        assert algebra.threshold(1e-9, 0.5) == algebra.threshold(1e-9, 1.0) == 1e-9
+        assert algebra.threshold(1e-9, 8.0) == 8e-9
+        assert algebra.threshold(0.0, 1e300) == 0.0
+
+    @pytest.mark.parametrize("decision", [
+        certify, verify_dual, tensor_dual_check, nfold_tensor_dual, perturbation_check,
+        range_transfer_check, transform_coisometry, operator_pencil_alpha,
+    ], ids=lambda f: f.__name__)
+    def test_every_decision_defaults_to_it(self, decision):
+        assert inspect.signature(decision).parameters["tol"].default == algebra.DEFAULT_TOL
+
+    @pytest.mark.parametrize("sub", ["verify", "dual", "perturb", "tensor"])
+    def test_the_cli_defaults_to_it(self, sub):
+        assert cli.build_parser().parse_args([sub, "spec.json"]).tol == algebra.DEFAULT_TOL

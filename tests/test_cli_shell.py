@@ -119,14 +119,16 @@ def test_dumps_hands_non_str_keys_to_json(value):
 
 
 def test_dumps_raises_as_json_does():
+    """A report is encoded without json's cycle check, since it is built from
+    fresh dicts, lists and numbers; a cycle no report can hold then recurses."""
     circular = []
     circular.append(circular)
     for bad, exc in (({"a": 1, 2: 3}, TypeError), ({"a": object()}, TypeError),
-                     (circular, ValueError)):
+                     (circular, RecursionError)):
         with pytest.raises(exc) as ours:
             RunReport(["x"], "x", residuals={"v": bad}).render("json")
         with pytest.raises(exc) as theirs:
-            json.dumps(bad, sort_keys=True)
+            json.dumps(bad, sort_keys=True, check_circular=False)
         assert str(ours.value) == str(theirs.value)
 
 
@@ -446,6 +448,28 @@ def test_reused_parser_matches_fresh_process(tmp_path, capsys):
     proc = subprocess.run([sys.executable, "-m", "modframes.cli", *argv], capture_output=True,
                           text=True, env=env, check=False)
     assert (proc.returncode, proc.stdout) == (code, in_process)
+
+
+def test_cold_runs_leave_numpy_random_unimported(tmp_path):
+    """Only ``gen`` and the tensor bounds path draw from numpy.random, at call
+    time, so a process that runs every other subcommand never imports it."""
+    pp = generate_instance("perturbed-pair", 2, 2, 3, seed=2)
+    specs = {"kb": generate_instance("known-bounds", 2, 2, 3, seed=1), "pp": pp,
+             "dp": generate_instance("dual-pair", 2, 2, 3, seed=2),
+             "kl": FrameSpecFile(2, 2, [pp.second_operators[0], pp.operators[0]])}
+    for name, spec in specs.items():
+        save_spec(spec, tmp_path / name)
+    runs = [["verify", "kb"], ["bounds", "kb"], ["dual", "dp"], ["douglas", "kl"],
+            ["perturb", "pp"], ["tensor", "dp", "dp"]]
+    runs = [[sub, *(str(tmp_path / name) for name in names), "--out", str(tmp_path / "r")]
+            for sub, *names in runs]
+    script = ("import sys; from modframes.cli import run_command; "
+              f"codes = [run_command(argv)[0] for argv in {runs!r}]; "
+              "print(codes, 'numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout == "[0, 0, 0, 0, 0, 0] False\n"  # exit codes; numpy.random imported
 
 
 @pytest.mark.parametrize(

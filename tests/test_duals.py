@@ -71,6 +71,17 @@ class TestVerifyDual:
         assert not pair.verified
         assert pair.reconstruction_residual == pytest.approx(1e-6 * operator_norm(k), rel=1e-3)
 
+    @pytest.mark.parametrize("k", [0.5, 4.0], ids=["absolute", "relative"])
+    def test_verified_at_the_threshold_not_one_ulp_below(self, k):
+        # d = 1: the residual is |g - k| = tol max(1, k) exactly.
+        tol = 2.0**-10
+        one = OperatorFamily([ModuleOperator(1, 1, 1, np.ones((1, 1)))])
+        dual = OperatorFamily([ModuleOperator(1, 1, 1, np.full((1, 1), k + tol * max(1.0, k)))])
+        target = ModuleOperator(1, 1, 1, np.full((1, 1), k))
+        pair = verify_dual(one, dual, target, tol)
+        assert pair.reconstruction_residual == tol * max(1.0, k) and pair.verified
+        assert not verify_dual(one, dual, target, np.nextafter(tol, 0)).verified
+
 
 class TestCanonicalDual:
     def test_tight_identity_target_reproduces_family(self, rng):

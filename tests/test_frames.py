@@ -263,6 +263,15 @@ class TestCertify:
         assert c1.min_gap_upper == c2.min_gap_upper
         assert np.array_equal(c1.witness.flat, c2.witness.flat)
 
+    def test_falsified_strictly_below_minus_tol(self):
+        # d = 1, S_hat = 1, beta = 0.5: the upper margin is exactly 0.25 - 1.
+        fam = OperatorFamily([ModuleOperator(1, 1, 1, np.ones((1, 1)))])
+        k = ModuleOperator.identity(1, 1)
+        bounds = FrameBounds.scalar(0.5, 0.5, 1)
+        at = certify(fam, k, bounds, tol=0.75)
+        assert at.min_gap_upper == -0.75 and at.verdict == "certified"
+        assert certify(fam, k, bounds, tol=math.nextafter(0.75, 0)).verdict == "falsified"
+
 
 def _batched_eigh_side(c1, p, c2, q):
     """The structural side as one batched ``eigh`` of every candidate's H."""

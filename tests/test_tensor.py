@@ -408,6 +408,36 @@ class TestFactoredNfold:
         assert got.residual_bounds is None
         assert got.reconstruction_residual == _kron_residual(pairs)
 
+    def test_verified_at_tau_not_one_ulp_below(self):
+        # Two 1x1 factors R_i = 1 + 2^-10 of K_i = 1: the product is off by 2^-9 + 2^-20.
+        one = OperatorFamily([ModuleOperator(1, 1, 1, np.ones((1, 1)))])
+        dual = OperatorFamily([ModuleOperator(1, 1, 1, np.full((1, 1), 1 + 2.0**-10))])
+        pair = verify_dual(one, dual, ModuleOperator.identity(1, 1), 2.0**-10)
+        tau = 2.0**-9 + 2.0**-20
+        out = nfold_tensor_dual([pair, pair], tau)
+        assert out.reconstruction_residual == tau and out.verified
+        assert not nfold_tensor_dual([pair, pair], math.nextafter(tau, 0)).verified
+
+    def test_library_defaults_judge_as_the_cli_does(self, tmp_path):
+        """A factor residual in (1e-10, 1e-9] max(1, ||K||) passes ``tensor`` at
+        its default --tol, so the library's pairs and fold built without ``tol``
+        verify it too."""
+        specs = [generate_instance("dual-pair", 2, 2, 3, seed) for seed in (0, 1)]
+        k_norm = operator_norm(specs[0].target_operator)
+        scale = 1 + 5e-10 * max(1.0, k_norm) / k_norm
+        specs[0].second_operators = [scale * g for g in specs[0].second_operators]
+        paths = [str(tmp_path / f"dp{i}.json") for i in range(2)]
+        for spec, path in zip(specs, paths):
+            save_spec(spec, path)
+        code, report = run_command(["tensor", *paths])
+        assert code == 0, report.error
+        pairs = [verify_dual(OperatorFamily(s.operators), OperatorFamily(s.second_operators),
+                             s.target_operator) for s in specs]
+        assert 1e-10 < pairs[0].reconstruction_residual / max(1.0, k_norm) <= 1e-9
+        out = nfold_tensor_dual(pairs)
+        assert out.verified
+        assert out.reconstruction_residual == report.residuals["tensor_residual"]
+
 
 def _bounds_only(monkeypatch):
     """Send every product to the bounds path, as if it had over DENSE_LIMIT rows."""
