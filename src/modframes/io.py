@@ -13,14 +13,18 @@ Every reader of a nest of [re, im] pairs walks it entry by entry, so a
 boolean in a pair is rejected, ``decode_vector`` included.  ``load_spec``
 skips the walk, reading each nest through one ``np.asarray``, only when its
 text spells neither ``true`` nor ``false``.  A spec with several faults names
-the first in read order, from a dict and a file alike.
+the first in read order, from a dict and a file alike.  A process decodes each
+distinct spec text once while it is among the last two read (``CACHED_TEXTS``):
+every load returns fresh objects over read-only arrays, and no error is kept.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,6 +38,7 @@ from .operators import KERNEL_RTOL, ModuleOperator, compose, random_operator
 # Largest |re|, |im| of a spec entry and largest scalar bound: below it, Gram
 # matrices (about MAX_ENTRY**2) times squared bounds stay finite.
 MAX_ENTRY = 1e50
+CACHED_TEXTS = 2  # distinct spec texts ``load_spec`` keeps decoded, the most recently read
 
 # What each level of an operator's ``blocks`` holds; a vector's and a matrix's are the last.
 _LEVELS = ("block rows", "blocks", "rows", "entries")
@@ -274,20 +279,39 @@ def save_spec(spec: FrameSpecFile, path) -> None:
         fh.write(spec.to_json())
 
 
-def load_spec(path) -> FrameSpecFile:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+@functools.lru_cache(maxsize=CACHED_TEXTS)
+def _decode(text: str) -> FrameSpecFile:
+    data = json.loads(text)
     # No spec field is boolean, so a text spelling neither "true" nor "false" holds
     # none for the unwalked read to take as 1 or 0.  Key names hold no "f" and few
     # "u", and a one-letter search runs at memchr speed, many times faster than "true".
     at = text.find("u")
     while at >= 0 and text[max(at - 2, 0):at + 2] != "true":
         at = text.find("u", at + 1)
-    return FrameSpecFile._read(data, fast=at < 0 and not ("f" in text and "false" in text))
+    spec = FrameSpecFile._read(data, fast=at < 0 and not ("f" in text and "false" in text))
+    ops = [*spec.operators, *(spec.second_operators or ()), spec.target_operator, spec.aux_operator]
+    bounds = [spec.bounds.lower, spec.bounds.upper] if spec.bounds else []
+    for arr in [op.flat for op in ops if op] + bounds:
+        arr.flags.writeable = False
+    return spec
+
+
+def load_spec(path) -> FrameSpecFile:
+    """The spec in ``path``, read on every call and decoded unless its text is one of the
+    last ``CACHED_TEXTS``: fresh objects over read-only arrays shared with the cache."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        spec = _decode(text)
+    except json.JSONDecodeError as exc:
+        raise SpecFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+
+    def new(op):  # a new operator over the same read-only array
+        return op and ModuleOperator(op.dim, op.source_rank, op.target_rank, op.flat)
+    second = spec.second_operators and [*map(new, spec.second_operators)]
+    return replace(spec, operators=[*map(new, spec.operators)], second_operators=second,
+                   target_operator=new(spec.target_operator), aux_operator=new(spec.aux_operator),
+                   bounds=spec.bounds and copy.copy(spec.bounds))
 
 
 GENERATOR_KINDS = ("tight", "known-bounds", "bessel-only", "perturbed-pair", "dual-pair")

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 
 import numpy as np
@@ -923,6 +924,149 @@ class TestOneSpectrumPerFamily:
             paths.append(str(path))
         counts = _count_calls(monkeypatch, ["tensor", *paths])
         assert counts["gram"] == counts["solves"] == 0
+
+
+def _arrays(spec: FrameSpecFile) -> dict:
+    """Every array of a loaded spec, by field."""
+    out = {f"operators[{i}]": op.flat for i, op in enumerate(spec.operators)}
+    out.update({f"second_operators[{i}]": op.flat
+                for i, op in enumerate(spec.second_operators or [])})
+    out.update({k: getattr(spec, k).flat for k in ("target_operator", "aux_operator")
+                if getattr(spec, k) is not None})
+    if spec.bounds is not None:
+        out.update({"bounds.lower": spec.bounds.lower, "bounds.upper": spec.bounds.upper})
+    return out
+
+
+class TestDecodeCache:
+    """``load_spec`` decodes a text once while it is among the last
+    ``CACHED_TEXTS`` read, and every load is a fresh spec over read-only arrays."""
+
+    @pytest.fixture(autouse=True)
+    def _cold(self):
+        spec_io._decode.cache_clear()
+        yield
+        spec_io._decode.cache_clear()
+
+    @staticmethod
+    def _one_entry(value: complex) -> FrameSpecFile:
+        return FrameSpecFile(1, 1, [ModuleOperator(1, 1, 1, np.array([[value]]))])
+
+    def test_rewrite_of_the_same_size_is_read_anew(self, tmp_path):
+        path = tmp_path / "spec.json"
+        save_spec(self._one_entry(0.25 + 0.5j), path)
+        stat = path.stat()
+        assert load_spec(path).operators[0].flat[0, 0] == 0.25 + 0.5j
+        save_spec(self._one_entry(0.75 + 0.5j), path)
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))  # size and mtime as before
+        assert path.stat().st_size == stat.st_size and path.stat().st_mtime_ns == stat.st_mtime_ns
+        assert load_spec(path).operators[0].flat[0, 0] == 0.75 + 0.5j
+
+    def test_a_bad_text_raises_every_time_and_is_never_kept(self, tmp_path):
+        path = tmp_path / "spec.json"
+        good = self._one_entry(0.25 + 0.5j).to_json()
+        bools = good.replace("[0.25, 0.5]", "[true, 0.5]")
+        assert bools != good
+        for text, error in ((good[:-5], f"{path}: invalid JSON at line 1"),
+                            (bools, "operators[0].blocks[0][0][0][0]: complex entry")):
+            path.write_text(text)
+            messages = []
+            for _ in range(3):
+                with pytest.raises(SpecFormatError) as err:
+                    load_spec(path)
+                messages.append(str(err.value))
+            assert messages[0].startswith(error), messages[0]
+            assert messages == messages[:1] * 3
+            assert spec_io._decode.cache_info().currsize == 0
+        path.write_text(good)
+        assert load_spec(path).operators[0].flat[0, 0] == 0.25 + 0.5j
+
+    def test_each_load_is_independent_over_read_only_arrays(self, tmp_path):
+        path = tmp_path / "dp.json"
+        save_spec(generate_instance("dual-pair", 2, 2, 3, seed=5), path)
+        first, second = load_spec(path), load_spec(path)
+        assert spec_io._decode.cache_info().hits == 1
+        for field in ("operators", "second_operators", "target_operator", "bounds"):
+            assert getattr(first, field) is not getattr(second, field), field
+        assert all(a is not b for a, b in zip(first.operators, second.operators))
+        text = second.to_json()
+        first.operators[0] = first.operators[0] * 2.0
+        first.second_operators.pop()
+        first.target_operator, first.bounds, first.module_rank = None, None, 7
+        assert second.to_json() == load_spec(path).to_json() == text
+        for name, arr in _arrays(second).items():
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                arr *= 2.0
+        assert load_spec(path).to_json() == text
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_a_hit_is_bitwise_a_cold_decode(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.json"
+        save_spec(generate_instance(kind, 2, 3, 4, seed=8), path)
+        load_spec(path)
+        hit = load_spec(path)
+        assert spec_io._decode.cache_info().hits == 1
+        spec_io._decode.cache_clear()
+        cold = _arrays(load_spec(path))
+        warm = _arrays(hit)
+        assert warm.keys() == cold.keys()
+        for name, arr in warm.items():
+            assert arr.dtype == cold[name].dtype and arr.shape == cold[name].shape, name
+            assert arr.tobytes() == cold[name].tobytes(), name
+
+    def test_holds_the_last_two_distinct_texts(self, tmp_path):
+        paths = []
+        for i, value in enumerate((0.25, 0.5, 0.75)):
+            paths.append(tmp_path / f"s{i}.json")
+            save_spec(self._one_entry(value), paths[-1])
+        for i in (0, 1, 0, 1, 2, 1, 0):
+            load_spec(paths[i])
+        info = spec_io._decode.cache_info()
+        assert (info.hits, info.misses, info.currsize, info.maxsize) == (3, 4, 2, 2)
+        assert spec_io.CACHED_TEXTS == 2
+
+    def test_tensor_power_of_one_file_decodes_it_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "dp.json"
+        save_spec(generate_instance("dual-pair", 2, 2, 3, seed=9), path)
+        copies = []
+        for i in range(3):
+            copies.append(tmp_path / f"copy{i}.json")
+            copies[-1].write_bytes(path.read_bytes())
+        reads = []
+        read = FrameSpecFile._read.__func__
+
+        def counted(cls, data, fast):
+            reads.append(fast)
+            return read(cls, data, fast)
+
+        monkeypatch.setattr(FrameSpecFile, "_read", classmethod(counted))
+        power = run_command(["tensor", str(path), str(path), str(path)])
+        assert reads == [True]
+        spec_io._decode.cache_clear()
+        apart = run_command(["tensor", *map(str, copies)])
+        assert power[0] == apart[0] == 0
+        assert power[1].verdicts == apart[1].verdicts == {"verified": True, "factors": 3}
+        assert power[1].residuals == apart[1].residuals
+        want = {**apart[1].to_dict(), "command": power[1].command}
+        assert power[1].to_dict() == want
+
+    def test_warm_reports_equal_cold_ones(self, tmp_path):
+        path = tmp_path / "kb.json"
+        save_spec(generate_instance("known-bounds", 2, 3, 4, seed=10), path)
+        argvs = [["verify", str(path)], ["bounds", str(path)], ["dual", str(path)],
+                 ["dual", str(path), "--method", "minimal"]]
+        warm = [run_command(argv) for argv in argvs]
+        assert spec_io._decode.cache_info().hits == len(argvs) - 1
+        cold = []
+        for argv in argvs:
+            spec_io._decode.cache_clear()
+            cold.append(run_command(argv))
+        assert [code for code, _ in warm] == [code for code, _ in cold] == [0, 0, 0, 0]
+        for (_, w), (_, c) in zip(warm, cold):
+            assert w.render("json") == c.render("json")
 
 
 # -- the exit-3 contract, by mutation -------------------------------------------
