@@ -1,9 +1,8 @@
 """Kernel operations on the matrix C*-algebra M_d(C).
 
 Algebra elements are plain complex d x d ndarrays; the functions here give
-them the C*-structure: involution, positivity and the Loewner order,
-positive square roots, modulus, and an invertibility test used for
-"strictly nonzero" bound elements.  The package's one kernel rule
+them the C*-structure: involution, norm, positivity, and an invertibility
+test used for "strictly nonzero" bound elements.  The package's one kernel rule
 (``KERNEL_RTOL``, ``range_mask``) and its one certification tolerance
 (``DEFAULT_TOL``, ``threshold``) live here, below every module using them.
 
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveError, ShapeMismatchError
+from .errors import ShapeMismatchError
 
 # The default of every decision's ``tol`` and of the CLI's --tol.
 DEFAULT_TOL = 1e-9
@@ -104,39 +103,6 @@ def is_positive(a: np.ndarray, tol: float = DEFAULT_TOL) -> PositivityVerdict:
         is_positive=hermitian and min_eig >= -scale,
         tolerance_used=scale,
     )
-
-
-def loewner_leq(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Loewner order: a <= b iff b - a is positive."""
-    a = as_element(a)
-    b = as_element(b)
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"Loewner comparison needs equal dims, got {a.shape} vs {b.shape}")
-    return is_positive(b - a, tol).is_positive
-
-
-def sqrt_psd(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian square root of a positive element.
-
-    Eigenvalues that are negative but within tolerance are clamped to zero;
-    a genuinely negative spectrum raises ``NotPositiveError``.
-    """
-    verdict = is_positive(a, tol)
-    if not verdict.is_positive:
-        raise NotPositiveError(
-            f"sqrt_psd needs a positive element (hermitian={verdict.is_hermitian}, "
-            f"min eigenvalue={verdict.min_eigenvalue:.3e})"
-        )
-    w, v = np.linalg.eigh(hermitian_part(a))
-    w = np.clip(w, 0.0, None)
-    r = (v * np.sqrt(w)) @ np.conj(v.T)
-    return hermitian_part(r)
-
-
-def abs_element(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Modulus |a| = (a* a)^(1/2)."""
-    a = as_element(a)
-    return sqrt_psd(np.conj(a.T) @ a, tol)
 
 
 def is_strictly_nonzero(a: np.ndarray) -> bool:

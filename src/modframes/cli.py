@@ -104,10 +104,6 @@ def _num(x: float) -> float | str:
     return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
 
 
-def _family(spec: spec_io.FrameSpecFile) -> OperatorFamily:
-    return OperatorFamily(spec.operators)
-
-
 def _target(spec: spec_io.FrameSpecFile) -> ModuleOperator:
     if spec.target_operator is not None:
         return spec.target_operator
@@ -115,9 +111,9 @@ def _target(spec: spec_io.FrameSpecFile) -> ModuleOperator:
 
 
 def _second_family(spec: spec_io.FrameSpecFile, pipeline: str) -> OperatorFamily:
-    if spec.second_operators is None:
+    if spec.second_family is None:
         raise spec_io.SpecFormatError(f"second_operators: required for the {pipeline}")
-    return OperatorFamily(spec.second_operators)
+    return spec.second_family
 
 
 def _bounds_or_optimal(
@@ -169,7 +165,7 @@ def _cmd_gen(args, report: RunReport) -> int:
 
 def _cmd_verify(args, report: RunReport) -> int:
     spec = spec_io.load_spec(args.spec)
-    family = _family(spec)
+    family = spec.family
     target = _target(spec)
     bounds, bounds_source = _bounds_or_optimal(spec, family, target)
     cert = certify(family, target, bounds, args.tol)
@@ -195,9 +191,7 @@ def _cmd_verify(args, report: RunReport) -> int:
 
 def _cmd_bounds(args, report: RunReport) -> int:
     spec = spec_io.load_spec(args.spec)
-    family = _family(spec)
-    target = _target(spec)
-    alpha, beta = optimal_scalar_bounds(family, target)
+    alpha, beta = optimal_scalar_bounds(spec.family, _target(spec))
     report.bounds = {"mode": "scalar", "lower": _num(alpha), "upper": _num(beta)}
     report.verdicts = {"computed": True}
     return EXIT_OK
@@ -205,7 +199,7 @@ def _cmd_bounds(args, report: RunReport) -> int:
 
 def _cmd_dual(args, report: RunReport) -> int:
     spec = spec_io.load_spec(args.spec)
-    family = _family(spec)
+    family = spec.family
     target = _target(spec)
     dual = (canonical_dual if args.method == "canonical" else minimal_dual)(family, target)
     pair = verify_dual(family, dual, target, tol=args.tol)
@@ -220,7 +214,7 @@ def _cmd_dual(args, report: RunReport) -> int:
 
 def _cmd_perturb(args, report: RunReport) -> int:
     spec = spec_io.load_spec(args.spec)
-    family = _family(spec)
+    family = spec.family
     perturbed = _second_family(spec, "perturb pipeline")
     target = _target(spec)
     aux = spec.aux_operator if spec.aux_operator is not None else target
@@ -254,7 +248,7 @@ def _cmd_tensor(args, report: RunReport) -> int:
     for path in args.spec:
         spec = spec_io.load_spec(path)
         dual = _second_family(spec, f"tensor pipeline: the dual family of {path}")
-        pair = verify_dual(_family(spec), dual, _target(spec), tol=args.tol)
+        pair = verify_dual(spec.family, dual, _target(spec), tol=args.tol)
         factors.append(_num(pair.reconstruction_residual))
         pairs.append(pair)
     report.residuals = {"factor_residuals": factors}

@@ -103,17 +103,17 @@ class OperatorFamily:
         return math.sqrt(max(float(self.spectrum[0][-1]), 0.0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrameBounds:
-    """Bound pair (lower, upper); in scalar mode both are multiples of I."""
+    """Bound pair (lower, upper), a frozen value; in scalar mode both are multiples of I."""
 
     lower: np.ndarray
     upper: np.ndarray
     mode: str = "algebra"
 
     def __post_init__(self):
-        self.lower = algebra.as_element(self.lower)
-        self.upper = algebra.as_element(self.upper)
+        object.__setattr__(self, "lower", algebra.as_element(self.lower))
+        object.__setattr__(self, "upper", algebra.as_element(self.upper))
         if self.lower.shape != self.upper.shape:
             raise ShapeMismatchError("bound elements must share the algebra dimension")
         if self.mode not in ("scalar", "algebra"):

@@ -15,16 +15,17 @@ skips the walk, reading each nest through one ``np.asarray``, only when its
 text spells neither ``true`` nor ``false``.  A spec with several faults names
 the first in read order, from a dict and a file alike.  A process decodes each
 distinct spec text once while it is among the last two read (``CACHED_TEXTS``):
-every load returns fresh objects over read-only arrays, and no error is kept.
+every load of it returns the same frozen spec over read-only arrays, and no
+error is kept.  A spec owns its families (``family``, ``second_family``), so
+every subcommand reading one spec shares one Gram matrix and one spectrum.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -203,18 +204,32 @@ def _legacy_tolerances(data, path: str) -> None:
                               f"{json.dumps(legacy)}; the certification tolerance is --tol")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrameSpecFile:
-    """In-memory form of a frame specification file."""
+    """In-memory form of a frame specification file, a frozen value owning the
+    families of its operator tuples: each is built, Gram and spectrum, once."""
 
     algebra_dim: int
     module_rank: int
-    operators: list[ModuleOperator]
-    second_operators: list[ModuleOperator] | None = None
+    operators: tuple[ModuleOperator, ...]
+    second_operators: tuple[ModuleOperator, ...] | None = None
     target_operator: ModuleOperator | None = None
     aux_operator: ModuleOperator | None = None
     bounds: FrameBounds | None = None
     seed: int | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "operators", tuple(self.operators))
+        if self.second_operators is not None:
+            object.__setattr__(self, "second_operators", tuple(self.second_operators))
+
+    @functools.cached_property
+    def family(self) -> OperatorFamily:
+        return OperatorFamily(self.operators)
+
+    @functools.cached_property
+    def second_family(self) -> OperatorFamily | None:
+        return None if self.second_operators is None else OperatorFamily(self.second_operators)
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -280,7 +295,8 @@ def save_spec(spec: FrameSpecFile, path) -> None:
 
 
 @functools.lru_cache(maxsize=CACHED_TEXTS)
-def _decode(text: str) -> FrameSpecFile:
+def _decode(raw: bytes) -> FrameSpecFile:
+    text = raw.decode("utf-8")
     data = json.loads(text)
     # No spec field is boolean, so a text spelling neither "true" nor "false" holds
     # none for the unwalked read to take as 1 or 0.  Key names hold no "f" and few
@@ -297,21 +313,18 @@ def _decode(text: str) -> FrameSpecFile:
 
 
 def load_spec(path) -> FrameSpecFile:
-    """The spec in ``path``, read on every call and decoded unless its text is one of the
-    last ``CACHED_TEXTS``: fresh objects over read-only arrays shared with the cache."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    """The spec in ``path``, read on every call and decoded unless its bytes are one of
+    the last ``CACHED_TEXTS`` read, whose decoded spec it then returns as is."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        spec = _decode(text)
+        return _decode(raw)
+    except UnicodeDecodeError as exc:
+        raise SpecFormatError(f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-
-    def new(op):  # a new operator over the same read-only array
-        return op and ModuleOperator(op.dim, op.source_rank, op.target_rank, op.flat)
-    second = spec.second_operators and [*map(new, spec.second_operators)]
-    return replace(spec, operators=[*map(new, spec.operators)], second_operators=second,
-                   target_operator=new(spec.target_operator), aux_operator=new(spec.aux_operator),
-                   bounds=spec.bounds and copy.copy(spec.bounds))
+    except RecursionError as exc:  # json's own limit on nesting
+        raise SpecFormatError(f"{path}: invalid JSON: {exc}") from None
 
 
 GENERATOR_KINDS = ("tight", "known-bounds", "bessel-only", "perturbed-pair", "dual-pair")
@@ -350,43 +363,33 @@ def generate_instance(
     members = _random_family(d, n, count, rng)
     family = OperatorFamily(members)
     eye = ModuleOperator.identity(d, n)
-    spec = FrameSpecFile(algebra_dim=d, module_rank=n, operators=members, seed=seed)
+    spec = functools.partial(FrameSpecFile, d, n, seed=seed)
 
     if kind == "tight":
         w, v = family.spectrum
         inv_sqrt = ModuleOperator(d, n, n, (v / np.sqrt(w)[None, :]) @ np.conj(v.T))
-        spec.operators = [compose(inv_sqrt, m) for m in members]
-        spec.target_operator = eye
-        spec.bounds = FrameBounds.scalar(1.0, 1.0, d)
-    elif kind == "known-bounds":
+        return spec([compose(inv_sqrt, m) for m in members], target_operator=eye,
+                    bounds=FrameBounds.scalar(1.0, 1.0, d))
+    if kind == "known-bounds":
         k = random_operator(d, n, n, rng)
         alpha, beta = optimal_scalar_bounds(family, k)
-        spec.target_operator = k
-        spec.bounds = FrameBounds.scalar(alpha * (1 - 1e-6), beta * (1 + 1e-6), d)
-    elif kind == "bessel-only":
+        return spec(members, target_operator=k,
+                    bounds=FrameBounds.scalar(alpha * (1 - 1e-6), beta * (1 + 1e-6), d))
+    if kind == "bessel-only":
         vec = rng.standard_normal(n * d) + 1j * rng.standard_normal(n * d)
         vec /= np.linalg.norm(vec)
         proj = ModuleOperator(d, n, n, np.eye(n * d) - np.outer(vec, np.conj(vec)))
         dead = OperatorFamily([compose(proj, m) for m in members])
-        spec.operators = dead.members
-        spec.target_operator = eye
-        spec.bounds = FrameBounds.scalar(0.1, dead.bessel_bound * (1 + 1e-6), d)
-    elif kind == "perturbed-pair":
+        return spec(dead.members, target_operator=eye,
+                    bounds=FrameBounds.scalar(0.1, dead.bessel_bound * (1 + 1e-6), d))
+    if kind == "perturbed-pair":
         alpha, beta = optimal_scalar_bounds(family, eye)
         noise = [random_operator(d, n, m.target_rank, rng, scale=1e-3) for m in members]
-        spec.second_operators = [m + e for m, e in zip(members, noise)]
-        spec.target_operator = eye
-        spec.aux_operator = eye
-        spec.bounds = FrameBounds.scalar(
-            max(alpha * (1 - 1e-6), 1e-12), beta * (1 + 1e-6), d
-        )
-    elif kind == "dual-pair":
-        k = random_operator(d, n, n, rng)
-        dual = canonical_dual(family, k)
-        spec.second_operators = dual.members
-        spec.target_operator = k
-        alpha, beta = optimal_scalar_bounds(family, k)
-        spec.bounds = FrameBounds.scalar(
-            max(alpha * (1 - 1e-6), 1e-12), beta * (1 + 1e-6), d
-        )
-    return spec
+        return spec(members, second_operators=[m + e for m, e in zip(members, noise)],
+                    target_operator=eye, aux_operator=eye, bounds=FrameBounds.scalar(
+                        max(alpha * (1 - 1e-6), 1e-12), beta * (1 + 1e-6), d))
+    k = random_operator(d, n, n, rng)  # dual-pair
+    dual = canonical_dual(family, k)
+    alpha, beta = optimal_scalar_bounds(family, k)
+    return spec(members, second_operators=dual.members, target_operator=k,
+                bounds=FrameBounds.scalar(max(alpha * (1 - 1e-6), 1e-12), beta * (1 + 1e-6), d))

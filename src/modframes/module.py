@@ -39,10 +39,6 @@ class ModuleSpace:
         ranks = tuple(int(r) for r in ranks)
         return cls(dim=dim, rank=sum(ranks), ranks=ranks)
 
-    @property
-    def flat_size(self) -> int:
-        return self.dim * self.rank
-
 
 @dataclass
 class ModuleVector:

@@ -31,9 +31,9 @@ from .errors import NotPositiveError, ShapeMismatchError
 from .module import ModuleVector
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModuleOperator:
-    """Adjointable A-linear map A^source_rank -> A^target_rank.
+    """Adjointable A-linear map A^source_rank -> A^target_rank, a frozen value.
 
     ``flat`` is the (source_rank*d) x (target_rank*d) block matrix; the
     action on a flattened vector X (a d x (source_rank*d) block row) is
@@ -46,7 +46,7 @@ class ModuleOperator:
     flat: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.flat = np.ascontiguousarray(self.flat, dtype=np.complex128)
+        object.__setattr__(self, "flat", np.ascontiguousarray(self.flat, dtype=np.complex128))
         expected = (self.source_rank * self.dim, self.target_rank * self.dim)
         if self.flat.shape != expected:
             raise ShapeMismatchError(

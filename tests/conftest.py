@@ -1,9 +1,20 @@
 """Shared fixtures and independent oracles used across the test suite."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from modframes import ModuleOperator, OperatorFamily, random_operator
+from modframes import io as spec_io
+
+
+@pytest.fixture(autouse=True)
+def _no_spec_decoded():
+    """Each test starts with no spec text decoded: a loaded spec keeps its
+    families' Gram matrices and spectra, so without this a test could find
+    them built by an earlier test that read the same text."""
+    spec_io._decode.cache_clear()
 
 
 @pytest.fixture
@@ -130,9 +141,9 @@ def near_scalar_spec(path, eps: float, seed: int = 3, d: int = 2):
     spec = generate_instance("known-bounds", d, 2, 3, seed)
     skew = np.eye(d, dtype=np.complex128)
     skew[0, 1] = eps
-    spec.bounds = FrameBounds(
+    spec = dataclasses.replace(spec, bounds=FrameBounds(
         lower=spec.bounds.alpha * skew, upper=spec.bounds.upper, mode="algebra"
-    )
+    ))
     save_spec(spec, path)
     return spec
 

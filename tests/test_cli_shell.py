@@ -4,6 +4,7 @@ operator, and the one writer of every spec and JSON report,
 
 import argparse
 import copy
+import dataclasses
 import json
 import os
 import subprocess
@@ -138,8 +139,8 @@ def test_dumps_raises_as_json_does():
                                   ["bounds", "@pp"], ["douglas", "@kl"], ["tensor", "@dp"],
                                   ["gen", "--kind", "tight", "--spec-out", "@new"]])
 def test_report_files_are_compact_json(tmp_path, argv):
-    pp = generate_instance("perturbed-pair", 2, 2, 3, seed=2)
-    pp.bounds = None  # verify then decides optimal bounds
+    # no file bounds: verify then decides optimal bounds
+    pp = dataclasses.replace(generate_instance("perturbed-pair", 2, 2, 3, seed=2), bounds=None)
     specs = {"@pp": pp, "@dp": generate_instance("dual-pair", 2, 2, 3, seed=2),
              "@kl": FrameSpecFile(2, 2, [pp.second_operators[0], pp.operators[0]])}  # one target
     for name, spec in specs.items():
@@ -375,8 +376,8 @@ def test_a_dict_and_a_file_name_the_first_fault_in_read_order(tmp_path):
     """A boolean pair in operators[1] comes before a NaN in bounds.lower: both
     readers walk each nest as they reach it, so both name the pair."""
     spec = generate_instance("known-bounds", 2, 2, 3, seed=1)
-    spec.bounds = FrameBounds(lower=spec.bounds.lower, upper=spec.bounds.upper, mode="algebra")
-    data = spec.to_dict()
+    bounds = FrameBounds(lower=spec.bounds.lower, upper=spec.bounds.upper, mode="algebra")
+    data = dataclasses.replace(spec, bounds=bounds).to_dict()
     _set(("operators", 1, "blocks", 0, 0, 1, 0, 0), True)(data)
     _set(("bounds", "lower", 0, 1, 0), float("nan"))(data)
     path = tmp_path / "bad.json"
@@ -521,7 +522,8 @@ def test_gen_integer_flags_take_their_least_value(tmp_path):
 def _falsified_spec(tmp_path) -> str:
     """A known-bounds spec with its upper bound cut to 0.9 beta: verify falsifies it."""
     spec = generate_instance("known-bounds", 2, 2, 3, seed=7)
-    spec.bounds = FrameBounds.scalar(spec.bounds.alpha, 0.9 * spec.bounds.beta, 2)
+    spec = dataclasses.replace(
+        spec, bounds=FrameBounds.scalar(spec.bounds.alpha, 0.9 * spec.bounds.beta, 2))
     path = tmp_path / "cut.json"
     save_spec(spec, path)
     return str(path)

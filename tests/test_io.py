@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,12 @@ from modframes import io as spec_io
 from modframes.cli import run_command
 from modframes.io import GENERATOR_KINDS, FrameSpecFile, decode_vector, encode_vector
 from conftest import make_rng, near_scalar_spec
+
+
+def _algebra_bounds(spec: FrameSpecFile) -> FrameSpecFile:
+    """``spec`` with its scalar bounds restated in algebra mode."""
+    bounds = FrameBounds(lower=spec.bounds.lower, upper=spec.bounds.upper, mode="algebra")
+    return replace(spec, bounds=bounds)
 
 
 class TestRoundTrip:
@@ -120,8 +127,7 @@ class TestRoundTrip:
         ids=["operator", "bound"],
     )
     def test_non_finite_entry_names_field(self, tmp_path, bad, keys, field):
-        spec = generate_instance("known-bounds", 2, 2, 2, seed=1)
-        spec.bounds = FrameBounds(lower=spec.bounds.lower, upper=spec.bounds.upper, mode="algebra")
+        spec = _algebra_bounds(generate_instance("known-bounds", 2, 2, 2, seed=1))
         data = json.loads(spec.to_json())
         entry = data
         for key in keys:
@@ -145,8 +151,7 @@ class TestRoundTrip:
     )
     @pytest.mark.parametrize("big", [1e200, 10**400], ids=["float", "int"])
     def test_oversized_entry_names_field(self, tmp_path, big, keys, field, capfd):
-        spec = generate_instance("known-bounds", 2, 2, 2, seed=1)
-        spec.bounds = FrameBounds(lower=spec.bounds.lower, upper=spec.bounds.upper, mode="algebra")
+        spec = _algebra_bounds(generate_instance("known-bounds", 2, 2, 2, seed=1))
         data = json.loads(spec.to_json())
         entry = data
         for key in keys:
@@ -182,6 +187,30 @@ class TestRoundTrip:
         with pytest.raises(SpecFormatError) as err:
             load_spec(path)
         assert "invalid JSON" in str(err.value)
+
+    def test_deep_nesting_is_an_input_error(self, tmp_path, capfd):
+        """json's nesting limit is the file's fault: exit 3 naming the path, no traceback."""
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, report = run_command(["verify", str(path)])
+        assert code == 3
+        assert report.error.startswith(f"SpecFormatError: {path}: invalid JSON: maximum recursion")
+        assert capfd.readouterr().err == ""
+
+    def test_non_utf8_names_the_file_and_byte(self, tmp_path, capfd):
+        good = tmp_path / "dp.json"
+        save_spec(generate_instance("dual-pair", 2, 2, 3, seed=1), good)
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff" + good.read_bytes())
+        with pytest.raises(SpecFormatError) as err:
+            load_spec(bad)
+        assert str(err.value) == f"{bad}: not UTF-8 at byte 0: invalid start byte"
+        bad.write_bytes(good.read_bytes()[:40] + b"\xc3(" + good.read_bytes()[40:])
+        code, report = run_command(["tensor", str(good), str(bad), str(good)])
+        assert code == 3
+        want = f"SpecFormatError: {bad}: not UTF-8 at byte 40: invalid continuation byte"
+        assert report.error == want
+        assert "Traceback" not in capfd.readouterr().err
 
 
 def _write_with_literal(tmp_path, data, keys, literal):
@@ -265,9 +294,9 @@ class TestInputBoundary:
         check names it, so a direct call does too."""
         spec = generate_instance("perturbed-pair", 2, 2, 2, seed=1)
         bad = np.diag([entry, 1.0]).astype(complex)
-        spec.bounds = FrameBounds(lower=bad if side == "lower" else spec.bounds.lower,
-                                  upper=bad if side == "upper" else spec.bounds.upper,
-                                  mode="algebra")
+        spec = replace(spec, bounds=FrameBounds(
+            lower=bad if side == "lower" else spec.bounds.lower,
+            upper=bad if side == "upper" else spec.bounds.upper, mode="algebra"))
         path = tmp_path / "spec.json"
         save_spec(spec, path)
         for sub in ("verify", "perturb"):
@@ -283,9 +312,9 @@ class TestInputBoundary:
         still not strictly nonzero."""
         spec = generate_instance("perturbed-pair", 2, 2, 2, seed=1)
         zero = np.zeros((2, 2), dtype=complex)
-        spec.bounds = FrameBounds(lower=zero if side == "lower" else spec.bounds.lower,
-                                  upper=zero if side == "upper" else spec.bounds.upper,
-                                  mode="algebra")
+        spec = replace(spec, bounds=FrameBounds(
+            lower=zero if side == "lower" else spec.bounds.lower,
+            upper=zero if side == "upper" else spec.bounds.upper, mode="algebra"))
         path = tmp_path / "spec.json"
         save_spec(spec, path)
         for sub in ("verify", "perturb"):
@@ -366,8 +395,8 @@ class TestInputBoundary:
         from modframes import random_operator
 
         spec = generate_instance(kind, 2, 2, 3, seed=3)
-        spec.bounds = None  # no file bounds: verify computes the optimal ones
-        setattr(spec, key, random_operator(2, 2, 3, make_rng(3)))
+        # no file bounds: verify computes the optimal ones
+        spec = replace(spec, bounds=None, **{key: random_operator(2, 2, 3, make_rng(3))})
         path = tmp_path / "wide.json"
         save_spec(spec, path)
         with pytest.raises(SpecFormatError, match=f"^{key}.target_rank: must equal module_rank"):
@@ -456,14 +485,15 @@ class TestInputBoundary:
     def test_second_operators_indexed_like_operators(self, tmp_path, kind, sub, fault, capfd):
         spec = generate_instance(kind, 2, 3, 3, seed=4)
         ranks = [m.target_rank for m in spec.operators]
+        second = list(spec.second_operators)
         if fault == "short":
-            spec.second_operators = spec.second_operators[:-1]
+            second.pop()
             field, words = "second_operators", "expected 3 members"
         else:
             i = ranks.index(min(ranks))
-            second = ModuleOperator.zero(2, 3, ranks[i] + 1)
-            spec.second_operators[i] = second
+            second[i] = ModuleOperator.zero(2, 3, ranks[i] + 1)
             field, words = f"second_operators[{i}].target_rank", f"operators[{i}].target_rank"
+        spec = replace(spec, second_operators=second)
         path = tmp_path / "mis-indexed.json"
         save_spec(spec, path)
         code, report = run_command([sub, str(path)] + ([str(path)] if sub == "tensor" else []))
@@ -625,8 +655,8 @@ class TestCliContract:
         spec = generate_instance("perturbed-pair", 2, 2, 3, seed=6)
         v = np.linalg.qr(make_rng(6).standard_normal((4, 1)))[0][:, 0]
         proj = np.eye(4) - np.outer(v, v)
-        spec.second_operators = [ModuleOperator(2, 2, g.target_rank, proj @ g.flat)
-                                 for g in spec.second_operators]
+        spec = replace(spec, second_operators=[ModuleOperator(2, 2, g.target_rank, proj @ g.flat)
+                                               for g in spec.second_operators])
         path = tmp_path / "dead.json"
         save_spec(spec, path)
         code, report = run_command(["perturb", str(path)])
@@ -708,7 +738,8 @@ class TestCliContract:
     def test_tensor_unverified_factor_is_falsified(self, tmp_path):
         path = self._gen(tmp_path, "dual-pair", 29)
         spec = load_spec(path)
-        spec.second_operators[0] = spec.second_operators[0] * 2.0  # break the dual
+        spec = replace(spec, second_operators=[  # break the dual
+            spec.second_operators[0] * 2.0, *spec.second_operators[1:]])
         broken = tmp_path / "broken-pair.json"
         save_spec(spec, broken)
         code, report = run_command(["tensor", str(broken), str(path)])
@@ -836,8 +867,8 @@ class TestDeterminism:
         assert first.startswith("modframes verify")
 
 
-def _count_calls(monkeypatch, argv, code=0) -> dict:
-    """Run the CLI and count frame-operator builds and ``numpy.linalg`` calls.
+def _count_calls(monkeypatch, *argvs, code=0) -> dict:
+    """Run the CLI on each argv and count frame-operator builds and ``numpy.linalg`` calls.
 
     ``frame_operator`` is counted in every modframes module that binds it, so
     a build through an imported name counts as well.  ``solves`` counts the
@@ -866,7 +897,8 @@ def _count_calls(monkeypatch, argv, code=0) -> dict:
         monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name), "solves", name))
     for name in ("svd", "pinv"):
         monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name), name))
-    assert run_command([*argv, "--out", argv[1] + ".report"])[0] == code
+    for argv in argvs:
+        assert run_command([*argv, "--out", argv[1] + ".report"])[0] == code
     return counts
 
 
@@ -890,7 +922,7 @@ class TestOneSpectrumPerFamily:
     def test_counts(self, tmp_path, monkeypatch, sub, kind, file_bounds, grams, max_solves):
         spec = generate_instance(kind, 2, 2, 3, seed=4)
         if not file_bounds:
-            spec.bounds = None
+            spec = replace(spec, bounds=None)
         path = tmp_path / "spec.json"
         save_spec(spec, path)
         sub, *flags = sub.split()
@@ -925,6 +957,21 @@ class TestOneSpectrumPerFamily:
         counts = _count_calls(monkeypatch, ["tensor", *paths])
         assert counts["gram"] == counts["solves"] == 0
 
+    def test_subcommands_on_one_spec_share_its_family(self, tmp_path, monkeypatch):
+        """verify, bounds and both duals in one process read the one family
+        that a spec text decodes to: one Gram matrix and one spectrum for it,
+        plus one Gram per dual family built.  A second text has its own."""
+        paths = []
+        for seed in (4, 5):
+            paths.append(str(tmp_path / f"kb{seed}.json"))
+            save_spec(generate_instance("known-bounds", 2, 2, 3, seed=seed), paths[-1])
+        subs = (["verify"], ["bounds"], ["dual"], ["dual", "--method", "minimal"])
+        counts = _count_calls(monkeypatch, *([sub, paths[0], *flags] for sub, *flags in subs))
+        # eigh: S's once, certify's lower side, the bounds pencil and each dual's own
+        assert (counts["gram"], counts["eigh"]) == (3, 5)
+        counts = _count_calls(monkeypatch, ["bounds", paths[1]], ["bounds", paths[0]])
+        assert (counts["gram"], counts["eigh"]) == (1, 3)  # the second text's S, two pencils
+
 
 def _arrays(spec: FrameSpecFile) -> dict:
     """Every array of a loaded spec, by field."""
@@ -940,13 +987,8 @@ def _arrays(spec: FrameSpecFile) -> dict:
 
 class TestDecodeCache:
     """``load_spec`` decodes a text once while it is among the last
-    ``CACHED_TEXTS`` read, and every load is a fresh spec over read-only arrays."""
-
-    @pytest.fixture(autouse=True)
-    def _cold(self):
-        spec_io._decode.cache_clear()
-        yield
-        spec_io._decode.cache_clear()
+    ``CACHED_TEXTS`` read, and every load of it is that frozen spec over
+    read-only arrays."""
 
     @staticmethod
     def _one_entry(value: complex) -> FrameSpecFile:
@@ -982,18 +1024,19 @@ class TestDecodeCache:
         assert load_spec(path).operators[0].flat[0, 0] == 0.25 + 0.5j
 
     def test_each_load_is_independent_over_read_only_arrays(self, tmp_path):
+        """No load can change what another returns: a cached text loads as one
+        spec, whose fields cannot be assigned and whose arrays cannot be written."""
         path = tmp_path / "dp.json"
         save_spec(generate_instance("dual-pair", 2, 2, 3, seed=5), path)
         first, second = load_spec(path), load_spec(path)
         assert spec_io._decode.cache_info().hits == 1
-        for field in ("operators", "second_operators", "target_operator", "bounds"):
-            assert getattr(first, field) is not getattr(second, field), field
-        assert all(a is not b for a, b in zip(first.operators, second.operators))
+        assert first is second
         text = second.to_json()
-        first.operators[0] = first.operators[0] * 2.0
-        first.second_operators.pop()
-        first.target_operator, first.bounds, first.module_rank = None, None, 7
-        assert second.to_json() == load_spec(path).to_json() == text
+        for obj, name in ((first, "operators"), (first, "module_rank"),
+                          (first.operators[0], "flat"), (first.second_operators[0], "target_rank"),
+                          (first.bounds, "upper")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, None)
         for name, arr in _arrays(second).items():
             assert not arr.flags.writeable, name
             with pytest.raises(ValueError):
@@ -1069,13 +1112,54 @@ class TestDecodeCache:
             assert w.render("json") == c.render("json")
 
 
+class TestFrozenSpec:
+    """A spec, its operators and its bounds are frozen values, so the decode
+    cache hands out the spec itself, and the spec owns its families."""
+
+    def test_a_cached_load_is_the_same_spec(self, tmp_path):
+        paths = []
+        for seed in (1, 2, 3):
+            paths.append(tmp_path / f"kb{seed}.json")
+            save_spec(generate_instance("known-bounds", 2, 2, 3, seed=seed), paths[-1])
+        spec = load_spec(paths[0])
+        assert load_spec(paths[0]) is spec and spec.family is load_spec(paths[0]).family
+        for path in paths[1:]:  # paths[0] leaves the cache
+            load_spec(path)
+        again = load_spec(paths[0])
+        assert again is not spec and again.to_json() == spec.to_json()
+
+    @pytest.mark.parametrize("owner, name", [
+        ("spec", "bounds"), ("spec", "operators"), ("spec", "seed"),
+        ("operator", "flat"), ("operator", "dim"), ("bounds", "lower"), ("bounds", "mode"),
+    ])
+    def test_fields_cannot_be_assigned(self, owner, name):
+        spec = generate_instance("perturbed-pair", 2, 2, 3, seed=1)
+        obj = {"spec": spec, "operator": spec.operators[0], "bounds": spec.bounds}[owner]
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))
+
+    def test_operator_lists_are_stored_as_tuples(self):
+        k, l = (ModuleOperator.identity(2, 2) * c for c in (1.0, 2.0))
+        spec = FrameSpecFile(2, 2, operators=[k, l], second_operators=[l, k])
+        assert spec.operators == (k, l) and spec.second_operators == (l, k)
+        assert FrameSpecFile(2, 2, [k]).second_operators is None
+
+    def test_replace_builds_a_new_spec_with_its_own_family(self):
+        spec = generate_instance("perturbed-pair", 2, 2, 3, seed=1)
+        family, second = spec.family, spec.second_family
+        assert family.members == spec.operators and second.members == spec.second_operators
+        tight = replace(spec, bounds=FrameBounds.scalar(1.0, 1.0, 2))
+        assert tight.bounds.alpha == 1.0 and spec.bounds.alpha != 1.0
+        assert tight.family is not family and tight.second_family is not second
+        assert np.array_equal(tight.family.gram, family.gram)
+        assert replace(spec, second_operators=None).second_family is None
+
+
 # -- the exit-3 contract, by mutation -------------------------------------------
 
 # Valid specs and the subcommands that read them: every field of each is read
 # by at least one of its subcommands.
-_algebra_kb = generate_instance("known-bounds", 2, 2, 2, seed=5)
-_algebra_kb.bounds = FrameBounds(lower=_algebra_kb.bounds.lower, upper=_algebra_kb.bounds.upper,
-                                 mode="algebra")
+_algebra_kb = _algebra_bounds(generate_instance("known-bounds", 2, 2, 2, seed=5))
 _CONTRACT_BASES = [
     (generate_instance("perturbed-pair", 2, 2, 2, seed=5).to_dict(), ("perturb", "verify")),
     (generate_instance("dual-pair", 2, 2, 2, seed=5).to_dict(), ("dual", "tensor")),

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -341,10 +342,9 @@ class TestFactoredNfold:
     def test_cli_exit_codes_inside_tolerance(self, tmp_path, m, code):
         paths = []
         for i, p in enumerate(self._inside_tolerance(m, 1e-9)):
-            spec = generate_instance("dual-pair", 2, 2, 3, seed=0)
-            spec.operators = p.primary_family.members
-            spec.second_operators = p.dual_family.members
-            spec.target_operator = p.target
+            spec = replace(generate_instance("dual-pair", 2, 2, 3, seed=0),
+                           operators=p.primary_family.members,
+                           second_operators=p.dual_family.members, target_operator=p.target)
             paths.append(tmp_path / f"pair{i}.json")
             save_spec(spec, paths[-1])
         got, report = run_command(["tensor", *map(str, paths), "--tol", "1e-9"])
@@ -425,7 +425,8 @@ class TestFactoredNfold:
         specs = [generate_instance("dual-pair", 2, 2, 3, seed) for seed in (0, 1)]
         k_norm = operator_norm(specs[0].target_operator)
         scale = 1 + 5e-10 * max(1.0, k_norm) / k_norm
-        specs[0].second_operators = [scale * g for g in specs[0].second_operators]
+        specs[0] = replace(specs[0],
+                           second_operators=[scale * g for g in specs[0].second_operators])
         paths = [str(tmp_path / f"dp{i}.json") for i in range(2)]
         for spec, path in zip(specs, paths):
             save_spec(spec, path)
@@ -533,10 +534,9 @@ class TestResidualBounds:
     def _write(self, tmp_path, pairs):
         paths = []
         for i, p in enumerate(pairs):
-            spec = generate_instance("dual-pair", 2, 2, 3, seed=0)
-            spec.operators = p.primary_family.members
-            spec.second_operators = p.dual_family.members
-            spec.target_operator = p.target
+            spec = replace(generate_instance("dual-pair", 2, 2, 3, seed=0),
+                           operators=p.primary_family.members,
+                           second_operators=p.dual_family.members, target_operator=p.target)
             paths.append(str(tmp_path / f"pair{i}.json"))
             save_spec(spec, paths[-1])
         return paths
@@ -570,8 +570,8 @@ class TestResidualBounds:
             k = random_operator(1, 33, 33, rng)
             dual = OperatorFamily([g * (1 + 0.9 * tol) for g in canonical_dual(fam, k).members])
             pairs.append(verify_dual(fam, dual, k, tol))
-            spec = generate_instance("dual-pair", 1, 33, 2, seed=0)
-            spec.operators, spec.second_operators, spec.target_operator = fam.members, dual.members, k
+            spec = replace(generate_instance("dual-pair", 1, 33, 2, seed=0), operators=fam.members,
+                           second_operators=dual.members, target_operator=k)
             paths.append(str(tmp_path / f"pair{i}.json"))
             save_spec(spec, paths[-1])
         assert all(p.verified for p in pairs)
