@@ -23,7 +23,6 @@ from .errors import (
     NoInclusionError,
     NotCoisometryError,
     NotCommutingError,
-    NotPositiveError,
     ShapeMismatchError,
     SingularFrameOperatorError,
 )
@@ -37,21 +36,15 @@ from .frames import (
     certify,
     frame_operator,
     gap_matrices,
-    is_normalized,
-    is_tight,
     norm_bound_check,
     optimal_scalar_bounds,
     range_transfer_check,
-    synthesis_operator,
     transform_coisometry,
     transform_precompose,
 )
 from .io import FrameSpecFile, SpecFormatError, generate_instance, load_spec, save_spec
 from .module import (
-    ModuleSpace,
     ModuleVector,
-    coordinate_projection,
-    direct_sum,
     inner_product,
     module_action,
     norm,
@@ -67,10 +60,7 @@ from .operators import (
     flatten,
     op_adjoint,
     operator_norm,
-    operator_pencil_alpha,
-    pseudoinverse,
     random_operator,
-    unflatten,
 )
 from .perturbation import (
     PerturbationReport,
@@ -81,7 +71,6 @@ from .perturbation import (
 )
 from .tensor import (
     TensorDual,
-    TensorSpace,
     kron_family,
     kron_operator,
     kron_vector,

@@ -130,10 +130,6 @@ class PreframeReport:
     target_deviation: float
     member_deviations: list[float]
 
-    @property
-    def max_deviation(self) -> float:
-        return max([self.target_deviation] + self.member_deviations)
-
 
 def preframe_consistency(P: DualPair, eta: ModuleOperator | None = None) -> PreframeReport:
     """Check theta* eta = K and G_i = Pi_i eta as exact operator identities.

@@ -16,10 +16,6 @@ class ShapeMismatchError(ModframesError, ValueError):
     """Operands live in incompatible spaces (dim, rank, or member count)."""
 
 
-class NotPositiveError(ModframesError, ValueError):
-    """An operand required to be positive semidefinite is not."""
-
-
 class SpecFormatError(ModframesError, ValueError):
     """An input field is malformed; the message names it (a spec file's field
     path, or ``bounds.lower`` / ``bounds.upper`` for a bound no frame can use)."""

@@ -25,6 +25,7 @@ A* v is parallel to v.  Hence:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -52,14 +53,15 @@ from .operators import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class OperatorFamily:
-    """Finite indexed family of adjointable operators with a common source,
-    owning its frame operator: ``gram`` and ``spectrum`` are cached."""
+    """Finite indexed family of adjointable operators with a common source, a
+    frozen value owning its frame operator: ``gram`` and ``spectrum`` are built once."""
 
-    members: list[ModuleOperator]
+    members: tuple[ModuleOperator, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "members", tuple(self.members))
         if not self.members:
             raise ValueError("operator family must be non-empty")
         d = self.members[0].dim
@@ -82,20 +84,17 @@ class OperatorFamily:
     def __len__(self) -> int:
         return len(self.members)
 
-    @property
+    @functools.cached_property
     def gram(self) -> np.ndarray:
-        """Flat frame operator (read-only), built once: members must not change."""
-        if "_gram" not in self.__dict__:
-            self._gram = frame_operator(self).flat
-            self._gram.flags.writeable = False
-        return self._gram
+        """Flat frame operator, read-only."""
+        gram = frame_operator(self).flat
+        gram.flags.writeable = False
+        return gram
 
-    @property
+    @functools.cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(w, v)``, the ``eigh`` of ``gram``'s Hermitian part, computed once."""
-        if "_spectrum" not in self.__dict__:
-            self._spectrum = np.linalg.eigh(algebra.hermitian_part(self.gram))
-        return self._spectrum
+        """``(w, v)``, the ``eigh`` of ``gram``'s Hermitian part."""
+        return np.linalg.eigh(algebra.hermitian_part(self.gram))
 
     @property
     def bessel_bound(self) -> float:
@@ -154,19 +153,6 @@ class FrameBounds:
         return float(self.upper[0, 0].real)
 
 
-def is_tight(bounds: FrameBounds, tol: float = 1e-12) -> bool:
-    """Both bound elements coincide."""
-    return algebra.opnorm(bounds.lower - bounds.upper) <= tol
-
-
-def is_normalized(bounds: FrameBounds, tol: float = 1e-12) -> bool:
-    """Both bound elements equal the identity."""
-    eye = np.eye(bounds.dim)
-    return (
-        algebra.opnorm(bounds.lower - eye) <= tol and algebra.opnorm(bounds.upper - eye) <= tol
-    )
-
-
 @dataclass
 class FrameCertificate:
     """Outcome of ``certify``.
@@ -190,11 +176,6 @@ def analysis_operator(F: OperatorFamily) -> ModuleOperator:
     """T: x -> {L_i x}, the block concatenation into the direct sum."""
     flat = np.hstack([m.flat for m in F.members])
     return ModuleOperator(F.dim, F.source_rank, sum(F.target_ranks), flat)
-
-
-def synthesis_operator(F: OperatorFamily) -> ModuleOperator:
-    """T*: {x_i} -> sum_i L_i* x_i."""
-    return op_adjoint(analysis_operator(F))
 
 
 def frame_operator(F: OperatorFamily) -> ModuleOperator:

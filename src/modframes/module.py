@@ -17,30 +17,6 @@ from .errors import ShapeMismatchError
 
 
 @dataclass
-class ModuleSpace:
-    """Descriptor of A^n (and of direct sums, via the per-summand ranks)."""
-
-    dim: int
-    rank: int
-    ranks: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.dim < 1 or self.rank < 1:
-            raise ValueError("dim and rank must be positive")
-        if self.ranks is not None:
-            self.ranks = tuple(int(r) for r in self.ranks)
-            if sum(self.ranks) != self.rank:
-                raise ShapeMismatchError(
-                    f"sum of summand ranks {self.ranks} != total rank {self.rank}"
-                )
-
-    @classmethod
-    def direct_sum_of(cls, dim: int, ranks) -> "ModuleSpace":
-        ranks = tuple(int(r) for r in ranks)
-        return cls(dim=dim, rank=sum(ranks), ranks=ranks)
-
-
-@dataclass
 class ModuleVector:
     """Element of A^n, stored as the flattened d x (n*d) block row."""
 
@@ -55,16 +31,6 @@ class ModuleVector:
                 f"flat array has shape {self.flat.shape}, expected "
                 f"({self.dim}, {self.rank * self.dim})"
             )
-
-    @classmethod
-    def from_blocks(cls, blocks) -> "ModuleVector":
-        blocks = [algebra.as_element(b) for b in blocks]
-        if not blocks:
-            raise ValueError("a module vector needs at least one block")
-        d = blocks[0].shape[0]
-        if any(b.shape != (d, d) for b in blocks):
-            raise ShapeMismatchError("all blocks must share the algebra dimension")
-        return cls(dim=d, rank=len(blocks), flat=np.hstack(blocks))
 
     @classmethod
     def rank_one(cls, dim: int, x: np.ndarray) -> "ModuleVector":
@@ -121,30 +87,6 @@ def module_action(a: np.ndarray, x: ModuleVector) -> ModuleVector:
 def norm(x: ModuleVector) -> float:
     """Module norm ||x|| = ||<x, x>||^(1/2), the largest singular value of X."""
     return float(np.linalg.norm(x.flat, 2))
-
-
-def direct_sum(parts: list[ModuleVector]) -> ModuleVector:
-    """Concatenate vectors into the direct-sum module; rank adds up."""
-    if not parts:
-        raise ValueError("direct_sum of an empty list")
-    d = parts[0].dim
-    if any(p.dim != d for p in parts):
-        raise ShapeMismatchError("direct_sum parts must share the algebra dimension")
-    return ModuleVector(d, sum(p.rank for p in parts), np.hstack([p.flat for p in parts]))
-
-
-def coordinate_projection(space: ModuleSpace, i: int, x: ModuleVector) -> ModuleVector:
-    """The i-th summand of a vector living in the direct sum ``space``."""
-    if space.ranks is None:
-        raise ValueError("space does not describe a direct sum (no ranks)")
-    if x.dim != space.dim or x.rank != space.rank:
-        raise ShapeMismatchError("vector does not live in the given direct sum")
-    if not 0 <= i < len(space.ranks):
-        raise IndexError(f"summand index {i} out of range for {len(space.ranks)} summands")
-    offset = sum(space.ranks[:i])
-    ni = space.ranks[i]
-    flat = x.flat[:, offset * space.dim : (offset + ni) * space.dim]
-    return ModuleVector(space.dim, ni, flat.copy())
 
 
 def random_vector(dim: int, rank: int, rng: np.random.Generator, unit: bool = True) -> ModuleVector:

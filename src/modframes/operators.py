@@ -4,9 +4,9 @@ Because the modules are left modules, operators act by right multiplication
 with an n x m block matrix over A.  Flattened, an operator is an ordinary
 (n*d) x (m*d) complex matrix T acting on flattened vectors as X -> X T, the
 adjoint is the conjugate transpose, and composition is the matrix product.
-Every operation here (pseudoinverse, range-inclusion tests, the
-majorization/factorization equivalence, the pencil extremum) is therefore
-plain dense linear algebra on the flattened matrices.
+Every operation here (range-inclusion tests, the majorization/factorization
+equivalence, the pencil extremum) is therefore plain dense linear algebra on
+the flattened matrices.
 
 ``pencil_max`` is the only pencil routine, so the optimal lower frame bound,
 the perturbation constant and the minimal dual share its kernel rule
@@ -15,7 +15,7 @@ for ``eigh``'s backward error, so every range lies in itself, at the cut
 too).  It takes s as its ``eigh``, a frame operator's cached
 ``OperatorFamily.spectrum``; ``pencil_alpha_flat`` is the entry for a raw
 matrix s.  ``douglas_check`` decides range inclusion by the same rule, on the
-``eigh`` of l* l that one SVD of l gives, and ``pseudoinverse`` keeps its cut.
+``eigh`` of l* l that one SVD of l gives.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra
-from .algebra import DEFAULT_TOL, KERNEL_RTOL, range_mask
-from .errors import NotPositiveError, ShapeMismatchError
+from .algebra import KERNEL_RTOL, range_mask
+from .errors import ShapeMismatchError
 from .module import ModuleVector
 
 
@@ -122,21 +122,8 @@ def flatten(T: ModuleOperator) -> np.ndarray:
     return T.flat.copy()
 
 
-def unflatten(mat: np.ndarray, dim: int, source_rank: int, target_rank: int) -> ModuleOperator:
-    return ModuleOperator(dim, source_rank, target_rank, mat)
-
-
 def operator_norm(T: ModuleOperator) -> float:
     return float(np.linalg.norm(T.flat, 2))
-
-
-def pseudoinverse(T: ModuleOperator) -> ModuleOperator:
-    """Moore-Penrose pseudoinverse of the flattened matrix, keeping the singular
-    values ``douglas_check`` keeps (sigma^2 > ``KERNEL_RTOL`` sigma_max^2)."""
-    u, s, vh = np.linalg.svd(T.flat, full_matrices=False)
-    r = int(np.sum(range_mask(s[::-1] ** 2)))  # s descends, so the kept values lead
-    pinv = (np.conj(vh[:r].T) / s[:r]) @ np.conj(u[:, :r].T)
-    return ModuleOperator(T.dim, T.target_rank, T.source_rank, pinv)
 
 
 def random_operator(
@@ -242,21 +229,3 @@ def pencil_alpha_flat(p: np.ndarray, s: np.ndarray) -> float:
     lam = pencil_max(p, np.linalg.eigh(algebra.hermitian_part(s)))[0]
     return math.inf if lam == 0.0 else 1.0 / lam
 
-
-def operator_pencil_alpha(P: ModuleOperator, S: ModuleOperator, tol: float = DEFAULT_TOL) -> float:
-    """Pencil extremum for self-adjoint positive module endomorphisms.
-
-    ``tol`` only validates the operands (self-adjoint and positive within
-    ``tol * (1 + ||op||)``); the extremum itself is ``pencil_alpha_flat``.
-    """
-    if (P.dim, P.source_rank, P.target_rank) != (S.dim, S.source_rank, S.target_rank):
-        raise ShapeMismatchError("pencil operands must share one space")
-    for name, op in (("P", P), ("S", S)):
-        if not op.is_endomorphism():
-            raise ShapeMismatchError(f"{name} must be an endomorphism")
-        verdict = algebra.is_positive(op.flat, tol)
-        if not verdict.is_hermitian:
-            raise NotPositiveError(f"{name} is not self-adjoint")
-        if not verdict.is_positive:
-            raise NotPositiveError(f"{name} is not positive")
-    return pencil_alpha_flat(P.flat, S.flat)

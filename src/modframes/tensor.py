@@ -31,26 +31,6 @@ from .module import ModuleVector
 from .operators import ModuleOperator, operator_norm
 
 
-@dataclass(frozen=True)
-class TensorSpace:
-    """Composite module descriptor; dim and rank multiply over the factors."""
-
-    factor_dims: tuple[int, ...]
-    factor_ranks: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.factor_dims) != len(self.factor_ranks) or not self.factor_dims:
-            raise ValueError("need matching, non-empty factor dims and ranks")
-
-    @property
-    def dim(self) -> int:
-        return int(np.prod(self.factor_dims))
-
-    @property
-    def rank(self) -> int:
-        return int(np.prod(self.factor_ranks))
-
-
 def _regroup_cols(mat: np.ndarray, n1: int, d1: int, n2: int, d2: int) -> np.ndarray:
     """Permute Kronecker columns from (b1, c1, b2, c2) to (b1, b2, c1, c2)."""
     rows = mat.shape[0]

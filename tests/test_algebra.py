@@ -10,7 +10,6 @@ from modframes import algebra, cli
 from modframes import (
     certify,
     nfold_tensor_dual,
-    operator_pencil_alpha,
     perturbation_check,
     range_transfer_check,
     tensor_dual_check,
@@ -66,6 +65,10 @@ class TestIsPositive:
             if v.is_positive:
                 assert v.is_hermitian
 
+    def test_negative_tol_is_rejected(self):
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            algebra.is_positive(algebra.identity(2), tol=-1e-9)
+
     def test_star_square_always_positive(self):
         rng = make_rng(2)
         for _ in range(50):
@@ -104,7 +107,7 @@ class TestThreshold:
 
     @pytest.mark.parametrize("decision", [
         certify, verify_dual, tensor_dual_check, nfold_tensor_dual, perturbation_check,
-        range_transfer_check, transform_coisometry, operator_pencil_alpha,
+        range_transfer_check, transform_coisometry, algebra.is_positive,
     ], ids=lambda f: f.__name__)
     def test_every_decision_defaults_to_it(self, decision):
         assert inspect.signature(decision).parameters["tol"].default == algebra.DEFAULT_TOL

@@ -19,14 +19,11 @@ from modframes import (
     apply,
     certify,
     compose,
-    direct_sum,
     flatten,
     frame_operator,
     gap_matrices,
     generate_instance,
     inner_product,
-    is_normalized,
-    is_tight,
     norm_bound_check,
     op_adjoint,
     operator_norm,
@@ -35,7 +32,6 @@ from modframes import (
     random_vector,
     range_transfer_check,
     sample_vectors,
-    synthesis_operator,
     transform_coisometry,
     transform_precompose,
 )
@@ -76,13 +72,13 @@ class TestFrameOperators:
         for _ in range(10):
             x = random_vector(2, 3, rng)
             lhs = apply(t, x)
-            rhs = direct_sum([apply(m, x) for m in fam.members])
-            assert np.linalg.norm(lhs.flat - rhs.flat) <= 1e-12
+            rhs = np.hstack([apply(m, x).flat for m in fam.members])
+            assert np.linalg.norm(lhs.flat - rhs) <= 1e-12
 
     def test_synthesis_is_adjoint(self, rng):
         fam = random_family(2, 3, 3, rng)
         t = analysis_operator(fam)
-        ts = synthesis_operator(fam)
+        ts = op_adjoint(t)
         for _ in range(10):
             x = random_vector(2, 3, rng)
             y = random_vector(2, t.target_rank, rng)
@@ -147,7 +143,7 @@ class TestCertify:
         fam = coordinate_family(2)
         cert = certify(fam, ModuleOperator.identity(1, 2), FrameBounds.scalar(1, 1, 1))
         assert cert.verdict == "certified" and cert.mode == "exact"
-        assert is_tight(cert.bounds) and is_normalized(cert.bounds)
+        assert cert.bounds.alpha == cert.bounds.beta == 1.0
 
     def test_zero_target_lower_vacuous(self, rng):
         fam = random_family(2, 3, 3, rng)

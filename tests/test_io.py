@@ -24,6 +24,7 @@ from modframes import (
     load_spec,
     save_spec,
 )
+from modframes import cli
 from modframes import io as spec_io
 from modframes.cli import run_command
 from modframes.io import GENERATOR_KINDS, FrameSpecFile, decode_vector, encode_vector
@@ -1096,6 +1097,35 @@ class TestDecodeCache:
         want = {**apart[1].to_dict(), "command": power[1].command}
         assert power[1].to_dict() == want
 
+    def test_tensor_verifies_each_spec_once(self, tmp_path, monkeypatch):
+        spec = generate_instance("dual-pair", 2, 2, 3, seed=8)
+        path, broken = tmp_path / "dp.json", tmp_path / "broken.json"
+        save_spec(spec, path)
+        save_spec(replace(spec, second_operators=[
+            spec.second_operators[0] * 2.0, *spec.second_operators[1:]]), broken)
+        copies = [tmp_path / f"copy{i}.json" for i in range(4)]
+        for copy in copies:
+            copy.write_bytes(path.read_bytes())
+        calls = []
+        verify = cli.verify_dual
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return verify(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "verify_dual", counted)
+        power = run_command(["tensor", *[str(path)] * 4])
+        assert len(calls) == 1
+        spec_io._decode.cache_clear()
+        apart = run_command(["tensor", *map(str, copies)])
+        assert power[0] == apart[0] == 0
+        assert power[1].to_dict() == {**apart[1].to_dict(), "command": power[1].command}
+        calls.clear()
+        code, report = run_command(["tensor", str(path), str(broken), str(path), str(broken)])
+        assert (code, len(calls), report.verdicts["failing_factor"]) == (1, 2, 1)
+        good, bad = report.residuals["factor_residuals"][:2]
+        assert report.residuals["factor_residuals"] == [good, bad, good, bad] and good < bad
+
     def test_warm_reports_equal_cold_ones(self, tmp_path):
         path = tmp_path / "kb.json"
         save_spec(generate_instance("known-bounds", 2, 3, 4, seed=10), path)
@@ -1131,10 +1161,12 @@ class TestFrozenSpec:
     @pytest.mark.parametrize("owner, name", [
         ("spec", "bounds"), ("spec", "operators"), ("spec", "seed"),
         ("operator", "flat"), ("operator", "dim"), ("bounds", "lower"), ("bounds", "mode"),
+        ("family", "members"),
     ])
     def test_fields_cannot_be_assigned(self, owner, name):
         spec = generate_instance("perturbed-pair", 2, 2, 3, seed=1)
-        obj = {"spec": spec, "operator": spec.operators[0], "bounds": spec.bounds}[owner]
+        obj = {"spec": spec, "operator": spec.operators[0], "bounds": spec.bounds,
+               "family": spec.family}[owner]
         with pytest.raises(FrozenInstanceError):
             setattr(obj, name, getattr(obj, name))
 

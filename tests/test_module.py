@@ -1,4 +1,4 @@
-"""Hilbert module axioms, norms, direct sums, projections."""
+"""Hilbert module axioms, norms, and the inner product over a direct sum."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modframes import (
-    ModuleSpace,
     ModuleVector,
     ShapeMismatchError,
     algebra,
-    coordinate_projection,
-    direct_sum,
     inner_product,
     module_action,
     norm,
@@ -21,13 +18,13 @@ from conftest import make_rng
 
 
 def test_inner_product_orthogonal_coordinates():
-    x = ModuleVector.from_blocks([[[1.0]], [[0.0]]])
-    y = ModuleVector.from_blocks([[[0.0]], [[1.0]]])
+    x = ModuleVector(1, 2, [[1.0, 0.0]])
+    y = ModuleVector(1, 2, [[0.0, 1.0]])
     assert inner_product(x, y) == pytest.approx(0.0)
 
 
 def test_inner_product_single_identity_block():
-    x = ModuleVector.from_blocks([np.eye(2)])
+    x = ModuleVector(2, 1, np.eye(2))
     assert np.allclose(inner_product(x, x), np.eye(2))
 
 
@@ -86,13 +83,13 @@ def test_norm_zero_vector():
 
 
 def test_norm_euclidean_reduction():
-    x = ModuleVector.from_blocks([[[3.0]], [[4.0]]])
+    x = ModuleVector(1, 2, [[3.0, 4.0]])
     assert norm(x) == pytest.approx(5.0)
 
 
 def test_norm_single_block_is_max_singular_value(rng):
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    x = ModuleVector.from_blocks([a])
+    x = ModuleVector(3, 1, a)
     assert norm(x) == pytest.approx(np.linalg.svd(a, compute_uv=False)[0])
 
 
@@ -106,35 +103,13 @@ def test_classical_reduction_dim_one():
         assert abs(inner_product(x, y)[0, 0] - np.sum(xv * np.conj(yv))) <= 1e-14
 
 
-def test_direct_sum_and_projection_round_trip(rng):
-    parts = [random_vector(2, r, rng) for r in (1, 3, 2)]
-    combined = direct_sum(parts)
-    assert combined.rank == 6
-    space = ModuleSpace.direct_sum_of(2, (1, 3, 2))
-    for i, part in enumerate(parts):
-        back = coordinate_projection(space, i, combined)
-        assert np.array_equal(back.flat, part.flat)
-    assert np.array_equal(direct_sum([coordinate_projection(space, i, combined) for i in range(3)]).flat, combined.flat)
-
-
 def test_direct_sum_inner_product_is_blockwise_sum(rng):
     xs = [random_vector(2, r, rng) for r in (2, 1)]
     ys = [random_vector(2, r, rng) for r in (2, 1)]
-    lhs = inner_product(direct_sum(xs), direct_sum(ys))
+    x_sum, y_sum = (ModuleVector(2, 3, np.hstack([v.flat for v in vs])) for vs in (xs, ys))
+    lhs = inner_product(x_sum, y_sum)
     rhs = sum(inner_product(a, b) for a, b in zip(xs, ys))
     assert np.linalg.norm(lhs - rhs, 2) <= 1e-12
-
-
-def test_direct_sum_rejects_empty():
-    with pytest.raises(ValueError):
-        direct_sum([])
-
-
-def test_projection_out_of_range(rng):
-    space = ModuleSpace.direct_sum_of(2, (1, 2))
-    x = random_vector(2, 3, rng)
-    with pytest.raises(IndexError):
-        coordinate_projection(space, 2, x)
 
 
 def test_shape_mismatch_raises(rng):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from modframes import (
     ModuleOperator,
-    NotPositiveError,
     OperatorFamily,
     ShapeMismatchError,
     apply,
@@ -20,12 +19,9 @@ from modframes import (
     inner_product,
     module_action,
     op_adjoint,
-    operator_pencil_alpha,
     optimal_scalar_bounds,
-    pseudoinverse,
     random_operator,
     random_vector,
-    unflatten,
 )
 from modframes.operators import kernel_reach, pencil_alpha_flat, pencil_max, range_mask
 from conftest import (
@@ -129,7 +125,7 @@ class TestComposeFlatten:
 
     def test_flatten_round_trip(self, rng):
         t = random_operator(3, 2, 4, rng)
-        back = unflatten(flatten(t), 3, 2, 4)
+        back = ModuleOperator(3, 2, 4, flatten(t))
         assert np.array_equal(back.flat, t.flat)
 
     def test_flatten_identity(self):
@@ -142,41 +138,16 @@ class TestComposeFlatten:
 
 
 class TestPseudoinverse:
-    def test_identity(self):
-        t = ModuleOperator.identity(2, 3)
-        assert np.allclose(pseudoinverse(t).flat, t.flat)
-
-    def test_zero(self):
-        t = ModuleOperator.zero(2, 3, 2)
-        p = pseudoinverse(t)
-        assert (p.source_rank, p.target_rank) == (2, 3)
-        assert not np.any(p.flat)
-
-    def test_penrose_identities(self):
-        rng = make_rng(4)
-        for _ in range(30):
-            t = random_operator(2, int(rng.integers(1, 4)), int(rng.integers(1, 4)), rng)
-            p = pseudoinverse(t)
-            left = flatten(t) @ flatten(p) @ flatten(t)
-            assert np.linalg.norm(left - flatten(t), 2) <= 1e-10 * (1 + np.linalg.norm(t.flat, 2))
-
-    def test_drops_what_the_kernel_rule_drops(self):
-        """sigma = 1e-8 sigma_max has sigma^2 below 1e-12 sigma_max^2: dropped,
-        so ||pinv|| is 1 / 0.5 and not 1e8."""
-        rng = make_rng(15)
-        u, v = random_unitary(4, rng), random_unitary(4, rng)
-        t = ModuleOperator(2, 2, 2, (u * np.array([1.0, 0.5, 1e-8, 0.0])) @ np.conj(v.T))
-        assert np.linalg.norm(pseudoinverse(t).flat, 2) == pytest.approx(2.0, rel=1e-9)
-
     def test_douglas_factor_is_k_times_pinv_l(self):
-        """For rank-deficient L and K = D L, douglas's factor is k pinv(l):
-        the two routines keep the same singular values of l."""
+        """For rank-deficient L and K = D L, douglas's factor is k pinv(l).
+        l has rank 2 of 6: its two singular values are above 0.3 sigma_max and
+        the rest at rounding level, so numpy's cut and the kernel rule's agree."""
         rng = make_rng(16)
         for _ in range(10):
             l = compose(random_operator(2, 3, 1, rng), random_operator(2, 1, 3, rng))
             k = compose(random_operator(2, 3, 3, rng), l)
             factor = douglas_check(k, l).factor.flat
-            expected = k.flat @ pseudoinverse(l).flat
+            expected = k.flat @ np.linalg.pinv(l.flat, rcond=1e-10)
             assert np.linalg.norm(factor - expected, 2) <= 1e-10 * np.linalg.norm(expected, 2)
 
 
@@ -283,15 +254,15 @@ class TestDouglas:
 class TestPencil:
     def test_identity_pair(self):
         eye = ModuleOperator.identity(1, 3)
-        assert operator_pencil_alpha(eye, eye) == pytest.approx(1.0)
+        assert pencil_alpha_flat(eye.flat, eye.flat) == pytest.approx(1.0)
 
     def test_scaled_identity(self):
         eye = ModuleOperator.identity(1, 3)
-        assert operator_pencil_alpha(eye, 2.0 * eye) == pytest.approx(2.0)
+        assert pencil_alpha_flat(eye.flat, (2.0 * eye).flat) == pytest.approx(2.0)
 
     def test_zero_gives_sentinel(self):
         eye = ModuleOperator.identity(1, 3)
-        assert math.isinf(operator_pencil_alpha(ModuleOperator.zero(1, 3, 3), eye))
+        assert math.isinf(pencil_alpha_flat(ModuleOperator.zero(1, 3, 3).flat, eye.flat))
 
     @pytest.mark.parametrize("c", [1e-3, 1e-5, 1e-8])
     def test_scale_invariance_of_small_target(self, c):
@@ -302,21 +273,6 @@ class TestPencil:
         alpha_c, _ = optimal_scalar_bounds(fam, c * k)
         assert c * alpha_c == pytest.approx(alpha, rel=1e-9)
         assert math.isinf(optimal_scalar_bounds(fam, 0.0 * k)[0])
-
-    def test_rejects_non_positive(self):
-        bad = ModuleOperator(1, 2, 2, np.diag([1.0, -1.0]).astype(complex))
-        with pytest.raises(NotPositiveError, match="P is not positive"):
-            operator_pencil_alpha(bad, ModuleOperator.identity(1, 2))
-
-    def test_rejects_non_self_adjoint(self):
-        bad = ModuleOperator(1, 2, 2, np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
-        with pytest.raises(NotPositiveError, match="S is not self-adjoint"):
-            operator_pencil_alpha(ModuleOperator.identity(1, 2), bad)
-
-    def test_negative_tol_is_rejected(self):
-        eye = ModuleOperator.identity(1, 2)
-        with pytest.raises(ValueError, match="tol must be nonnegative"):
-            operator_pencil_alpha(eye, eye, tol=-1e-9)
 
     def test_matches_bisection_oracle_full_rank(self):
         rng = make_rng(7)

@@ -15,7 +15,6 @@ from modframes import (
     ModuleOperator,
     ModuleVector,
     OperatorFamily,
-    TensorSpace,
     apply,
     canonical_dual,
     inner_product,
@@ -34,11 +33,6 @@ from modframes.cli import run_command
 from modframes.duals import reconstruction_operator
 from modframes.io import generate_instance, save_spec
 from conftest import make_rng, random_family
-
-
-def test_tensor_space_products():
-    ts = TensorSpace(factor_dims=(2, 3), factor_ranks=(2, 4))
-    assert ts.dim == 6 and ts.rank == 8
 
 
 class TestKronVector:
