@@ -35,7 +35,6 @@ from .frames import (
     analysis_operator,
     certify,
     frame_operator,
-    gap_matrices,
     norm_bound_check,
     optimal_scalar_bounds,
     range_transfer_check,

@@ -46,14 +46,6 @@ def as_element(a) -> np.ndarray:
     return arr
 
 
-def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=np.complex128)
-
-
-def zero(dim: int) -> np.ndarray:
-    return np.zeros((dim, dim), dtype=np.complex128)
-
-
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Involution a -> a*: the conjugate transpose."""
     return np.conj(as_element(a).T)

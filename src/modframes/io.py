@@ -6,8 +6,8 @@ matrices as row-major nested lists.  Operators are stored blockwise: a
 The same helpers serialize vectors and bounds for CLI reports.  A spec is
 written compact, ``json.dumps(spec, sort_keys=True)`` and a newline, and read
 in any layout; floats are spelled in shortest round-trip repr, so a round
-trip is byte-stable.  A spec sets no tolerance; a ``tolerances`` field loads
-only as ``gen`` once wrote it, since the duals' kernel rule is fixed.
+trip is byte-stable.  A spec sets no tolerance, since the duals' kernel rule is
+fixed: a ``tolerances`` key is rejected like any unknown key.
 
 Every reader of a nest of [re, im] pairs walks it entry by entry, so a
 boolean in a pair is rejected, ``decode_vector`` included.  ``load_spec``
@@ -33,7 +33,7 @@ from .duals import canonical_dual
 from .errors import SpecFormatError
 from .frames import FrameBounds, OperatorFamily, optimal_scalar_bounds
 from .module import ModuleVector
-from .operators import KERNEL_RTOL, ModuleOperator, compose, random_operator
+from .operators import ModuleOperator, compose, random_operator
 
 
 # Largest |re|, |im| of a spec entry and largest scalar bound: below it, Gram
@@ -189,21 +189,6 @@ def _family(data, dim: int, rank: int, path: str, fast: bool, like=None) -> list
     return ops
 
 
-# What ``gen`` wrote as ``tolerances`` until the duals' rank rule became the kernel rule.
-_LEGACY_TOLERANCES = {"cond_cap": 1e12, "rank_tol": 1e-12}
-
-
-def _legacy_tolerances(data, path: str) -> None:
-    """Accept exactly the legacy ``tolerances``; otherwise name the first key at fault."""
-    if data != _LEGACY_TOLERANCES:
-        legacy = _LEGACY_TOLERANCES
-        where = path if not isinstance(data, dict) else f"{path}." + min(
-            k for k in data.keys() | legacy.keys() if k not in data or data[k] != legacy.get(k))
-        raise SpecFormatError(f"{where}: the kernel rule is fixed at {KERNEL_RTOL:g} of the "
-                              f"largest eigenvalue, so a spec may carry only what gen once wrote, "
-                              f"{json.dumps(legacy)}; the certification tolerance is --tol")
-
-
 @dataclass(frozen=True)
 class FrameSpecFile:
     """In-memory form of a frame specification file, a frozen value owning the
@@ -279,9 +264,7 @@ class FrameSpecFile:
             "seed": lambda value, path: _as_int(value, path, least=0),
         }
         read = {key: optional[key](data[key], key) for key in optional if data.get(key) is not None}
-        if data.get("tolerances") is not None:
-            _legacy_tolerances(data["tolerances"], "tolerances")
-        _known(data, ("algebra_dim", "module_rank", "operators", *optional, "tolerances"), "")
+        _known(data, ("algebra_dim", "module_rank", "operators", *optional), "")
         return cls(dim, rank, operators, **read)
 
     def to_json(self) -> str:

@@ -52,15 +52,6 @@ class ModuleVector:
         _check_same_space(self, other)
         return ModuleVector(self.dim, self.rank, self.flat + other.flat)
 
-    def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        _check_same_space(self, other)
-        return ModuleVector(self.dim, self.rank, self.flat - other.flat)
-
-    def __mul__(self, scalar: complex) -> "ModuleVector":
-        return ModuleVector(self.dim, self.rank, self.flat * scalar)
-
-    __rmul__ = __mul__
-
 
 def _check_same_space(x: ModuleVector, y: ModuleVector) -> None:
     if x.dim != y.dim or x.rank != y.rank:
@@ -89,17 +80,14 @@ def norm(x: ModuleVector) -> float:
     return float(np.linalg.norm(x.flat, 2))
 
 
-def random_vector(dim: int, rank: int, rng: np.random.Generator, unit: bool = True) -> ModuleVector:
-    """Standard complex Gaussian entries, optionally normalized to unit norm."""
+def random_vector(dim: int, rank: int, rng: np.random.Generator) -> ModuleVector:
+    """Standard complex Gaussian entries, normalized to unit norm."""
     flat = (
         rng.standard_normal((dim, rank * dim)) + 1j * rng.standard_normal((dim, rank * dim))
     ) / np.sqrt(2.0)
     x = ModuleVector(dim, rank, flat)
-    if unit:
-        nrm = norm(x)
-        if nrm > 0:
-            x = ModuleVector(dim, rank, flat / nrm)
-    return x
+    nrm = norm(x)
+    return ModuleVector(dim, rank, flat / nrm) if nrm > 0 else x
 
 
 def sample_vectors(dim: int, rank: int, count: int, seed: int) -> list[ModuleVector]:

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .errors import HypothesisFailedError, ShapeMismatchError
+from .duals import _check_indexed_like
+from .errors import HypothesisFailedError
 from .frames import (
     FrameBounds,
     FrameCertificate,
@@ -43,15 +44,14 @@ from .operators import ModuleOperator, douglas_check, pencil_max, range_mask
 class PerturbationReport:
     """Outcome of the perturbation transfer check.
 
-    ``M_estimate`` is the exact constant (``M_kind`` says so), attained at
-    the rank-one ``witness``; ``derived`` certifies {G_i} against Lop at the
+    ``M_estimate`` is the exact constant, attained at the rank-one
+    ``witness``; ``derived`` certifies {G_i} against Lop at the
     bounds derived from (||A||, ||B||, M).  ``analysis_rank`` is the rank of
     the perturbed analysis operator, which the converse machinery needs to
     have closed range (full rank here; counted by the kernel rule of M).
     """
 
     M_estimate: float
-    M_kind: str
     derived_lower: float
     derived_upper: float
     witness: ModuleVector
@@ -61,8 +61,6 @@ class PerturbationReport:
 
 
 def _difference_gram(L: OperatorFamily, G: OperatorFamily) -> np.ndarray:
-    if len(L) != len(G) or L.target_ranks != G.target_ranks or L.dim != G.dim:
-        raise ShapeMismatchError("families must be indexed alike to compare")
     diff = analysis_operator(L).flat - analysis_operator(G).flat
     return diff @ np.conj(diff.T)
 
@@ -77,6 +75,7 @@ def _exact_constant(L: OperatorFamily, G: OperatorFamily) -> tuple[float, Module
 def perturbation_constant(L: OperatorFamily, G: OperatorFamily) -> float:
     """The exact perturbation constant M (``inf`` when D reaches the kernel
     of either frame operator); 0 when the families coincide."""
+    _check_indexed_like(L, G)
     return _exact_constant(L, G)[0]
 
 
@@ -112,7 +111,8 @@ def perturbation_check(
 ) -> PerturbationReport:
     """Full perturbation pipeline.
 
-    Hypotheses checked first: {L_i} must certify (not falsify) against
+    G must be indexed like L on L's source module (else ``ShapeMismatchError``);
+    then the hypotheses are checked: {L_i} must certify (not falsify) against
     (K, boundsL), and range(Lop) must be contained in range(K) with K of
     closed range (automatic here; ``douglas_check`` decides it).  M is
     then computed exactly (a finite M is a hypothesis too), the transferred
@@ -120,6 +120,7 @@ def perturbation_check(
     bounds.  ``tol`` is ``certify``'s, for both certificates, and
     1e3 * ``tol`` bounds ||K K* - I|| for the converse.
     """
+    _check_indexed_like(L, G)
     cert = certify(L, K, boundsL, tol)
     if cert.verdict == "falsified":
         raise HypothesisFailedError(
@@ -147,7 +148,6 @@ def perturbation_check(
     converse = _converse_if_applicable(G, K, Lop, norm_a, norm_b, tol)
     return PerturbationReport(
         M_estimate=m,
-        M_kind="exact",
         derived_lower=lo,
         derived_upper=up,
         witness=witness,

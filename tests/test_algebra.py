@@ -21,7 +21,7 @@ from conftest import make_rng, random_unitary
 
 class TestAdjoint:
     def test_identity_self_adjoint(self):
-        eye = algebra.identity(2)
+        eye = np.eye(2, dtype=complex)
         assert np.array_equal(algebra.adjoint(eye), eye)
 
     def test_real_nilpotent_transposes(self):
@@ -41,7 +41,7 @@ class TestAdjoint:
 
 class TestIsPositive:
     def test_identity(self):
-        v = algebra.is_positive(algebra.identity(2))
+        v = algebra.is_positive(np.eye(2, dtype=complex))
         assert v.is_positive and v.is_hermitian
         assert v.min_eigenvalue == pytest.approx(1.0)
 
@@ -67,7 +67,7 @@ class TestIsPositive:
 
     def test_negative_tol_is_rejected(self):
         with pytest.raises(ValueError, match="tol must be nonnegative"):
-            algebra.is_positive(algebra.identity(2), tol=-1e-9)
+            algebra.is_positive(np.eye(2, dtype=complex), tol=-1e-9)
 
     def test_star_square_always_positive(self):
         rng = make_rng(2)
@@ -79,10 +79,10 @@ class TestIsPositive:
 
 class TestStrictlyNonzero:
     def test_identity(self):
-        assert algebra.is_strictly_nonzero(algebra.identity(2))
+        assert algebra.is_strictly_nonzero(np.eye(2, dtype=complex))
 
     def test_zero(self):
-        assert not algebra.is_strictly_nonzero(algebra.zero(2))
+        assert not algebra.is_strictly_nonzero(np.zeros((2, 2), dtype=complex))
 
     def test_condition_cap(self):
         """a a* has eigenvalues sigma^2, so the kernel rule's cut

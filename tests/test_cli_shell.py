@@ -190,14 +190,15 @@ def test_spec_in_any_layout_loads_bitwise(tmp_path, kind):
 
 
 @pytest.mark.parametrize("kind", ["known-bounds", "dual-pair", "bessel-only"])
-def test_old_gen_layout_with_tolerances_gives_the_same_dual(tmp_path, capsys, kind):
-    """A spec as gen wrote it before the kernel rule was fixed (indent=2, with
-    ``tolerances``) loads to the same arrays and gives the same dual reports."""
+def test_old_gen_layout_gives_the_same_dual(tmp_path, capsys, kind):
+    """A spec in the layout gen once wrote (indent=2) loads to the same arrays
+    and gives the same dual reports; gen writes no ``tolerances``, and a spec
+    carrying one exits 3 (``test_io``'s ``test_tolerances_is_an_unknown_key``)."""
     spec = generate_instance(kind, 2, 3, 4, seed=6)
+    assert "tolerances" not in spec.to_dict()
     new, old = tmp_path / "new.json", tmp_path / "old.json"
     save_spec(spec, new)
-    legacy = {**spec.to_dict(), "tolerances": {"cond_cap": 1e12, "rank_tol": 1e-12}}
-    old.write_text(json.dumps(legacy, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    old.write_text(json.dumps(spec.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8")
     assert _arrays(load_spec(old)) == _arrays(load_spec(new)) == _arrays(spec)
     for method in ("canonical", "minimal"):
         reports = []

@@ -21,7 +21,6 @@ from modframes import (
     compose,
     flatten,
     frame_operator,
-    gap_matrices,
     generate_instance,
     inner_product,
     norm_bound_check,
@@ -174,8 +173,8 @@ class TestCertify:
             # the witness is the rank-one vector of the cached top eigenvector
             assert np.array_equal(cert.witness.flat[0], np.conj(fam.spectrum[1][:, -1]))
             assert not np.any(cert.witness.flat[1:])
-            _, g_up = gap_matrices(fam, k, bad, cert.witness)
-            assert np.linalg.eigvalsh(0.5 * (g_up + np.conj(g_up.T)))[0] < -1e-9
+            _, up = direct_gap_eigs(fam, k, bad.lower, bad.upper, cert.witness)
+            assert up < -1e-9
 
     def test_exact_and_sampled_agree(self):
         rng = make_rng(1)
@@ -197,24 +196,6 @@ class TestCertify:
             sampled = descent_oracle(fam, k, bounds.lower, bounds.upper, rng)
             assert (min(sampled) < -1e-9) == (expect == "falsified")
 
-    def test_sampled_kernel_matches_module_arithmetic(self, rng):
-        # the gram-matrix shortcut equals the blockwise inner-product sums
-        fam = random_family(2, 2, 3, rng)
-        k = random_operator(2, 2, 2, rng)
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        bounds = FrameBounds(lower=a @ np.conj(a.T) + np.eye(2), upper=b @ np.conj(b.T) + np.eye(2))
-        for _ in range(10):
-            x = random_vector(2, 2, rng)
-            g_lo, g_up = gap_matrices(fam, k, bounds, x)
-            lo, up = direct_gap_eigs(fam, k, bounds.lower, bounds.upper, x)
-            assert np.linalg.eigvalsh(0.5 * (g_lo + np.conj(g_lo.T)))[0] == pytest.approx(
-                lo, abs=1e-10
-            )
-            assert np.linalg.eigvalsh(0.5 * (g_up + np.conj(g_up.T)))[0] == pytest.approx(
-                up, abs=1e-10
-            )
-
     def test_algebra_mode_phase_bounds_dim_one(self, rng):
         # phases keep |a| fixed: certification must match the scalar outcome
         fam = random_family(1, 3, 3, rng)
@@ -226,8 +207,8 @@ class TestCertify:
         assert cert.verdict == "certified" and cert.mode == "exact"
         bad = certify(fam, k, FrameBounds(lower=lower * 1.5, upper=upper))
         assert bad.verdict == "falsified" and bad.mode == "exact"
-        g_lo, _ = gap_matrices(fam, k, FrameBounds(lower=lower * 1.5, upper=upper), bad.witness)
-        assert np.linalg.eigvalsh(0.5 * (g_lo + np.conj(g_lo.T)))[0] < -1e-9
+        lo, _ = direct_gap_eigs(fam, k, lower * 1.5, upper, bad.witness)
+        assert lo < -1e-9
 
     def test_exact_requires_scalar(self, rng):
         # exact mode is reported exactly when both elements are c*I

@@ -19,7 +19,6 @@ from modframes import (
     SpecFormatError,
     certify,
     frame_operator,
-    gap_matrices,
     generate_instance,
     load_spec,
     save_spec,
@@ -28,7 +27,7 @@ from modframes import cli
 from modframes import io as spec_io
 from modframes.cli import run_command
 from modframes.io import GENERATOR_KINDS, FrameSpecFile, decode_vector, encode_vector
-from conftest import make_rng, near_scalar_spec
+from conftest import direct_gap_eigs, make_rng, near_scalar_spec
 
 
 def _algebra_bounds(spec: FrameSpecFile) -> FrameSpecFile:
@@ -225,9 +224,48 @@ def _write_with_literal(tmp_path, data, keys, literal):
     return path
 
 
-def _with_legacy_tolerances(spec: FrameSpecFile) -> dict:
-    """The spec's data as gen wrote it until the kernel rule was fixed."""
-    return {**spec.to_dict(), "tolerances": {"cond_cap": 1e12, "rank_tol": 1e-12}}
+def _old_tolerances(**spelled) -> str:
+    """The ``tolerances`` object gen wrote until the kernel rule was fixed, as
+    JSON text, with each keyword's value spelled as given."""
+    fields = {"cond_cap": "1000000000000.0", "rank_tol": "1e-12", **spelled}
+    return "{" + ", ".join(f'"{key}": {value}' for key, value in fields.items()) + "}"
+
+
+# Each ``tolerances`` literal once read differently (gen's own loaded; the rest
+# named a key at fault); every one is now an unknown key.
+_ANY_TOLERANCES = [
+    *(pytest.param(kind, _old_tolerances(), id=f"legacy-{kind}") for kind in GENERATOR_KINDS),
+    pytest.param("dual-pair", _old_tolerances(cond_cap="1000000000000"), id="legacy-integer"),
+    *(
+        pytest.param("dual-pair", _old_tolerances(**{key: literal}), id=name)
+        for name, key, literal in (
+            ("list", "rank_tol", "[1]"),
+            ("nan-string", "cond_cap", '"nan"'),
+            ("negative", "cond_cap", "-1"),
+            ("bool", "cond_cap", "true"),
+            ("zero", "tol", "0"),
+            ("float-overflow", "cond_cap", "1e400"),
+            ("int-overflow", "cond_cap", "1" + "0" * 400),
+            ("tol-1e-09", "tol", "1e-09"),
+            ("cond-1e12", "cond", "1000000000000.0"),
+            ("seed-3", "seed", "3"),
+        )
+    ),
+    *(
+        pytest.param("dual-pair", literal, id=name)
+        for name, literal in (
+            ("cond_cap-1e6", '{"cond_cap": 1000000.0}'),
+            ("rank_tol-1e-8", _old_tolerances(rank_tol="1e-08")),
+            ("cond_cap-missing", '{"rank_tol": 1e-12}'),
+            ("empty", "{}"),
+            ("false", "false"),
+            ("0", "0"),
+            ("[]", "[]"),
+            ('""', '""'),
+            ("[1]", "[1]"),
+        )
+    ),
+]
 
 
 _KNOWN_BOUNDS = generate_instance("known-bounds", 2, 2, 2, seed=1)
@@ -326,63 +364,21 @@ class TestInputBoundary:
             )
         assert capfd.readouterr().err == ""
 
-    # ``tolerances`` is legacy: a spec may carry exactly what gen once wrote,
-    # and any other content exits 3 naming its first key at fault.
-    @pytest.mark.parametrize(
-        "key, literal",
-        [
-            ("rank_tol", "[1]"),
-            ("cond_cap", '"nan"'),
-            ("cond_cap", "-1"),
-            ("cond_cap", "true"),
-            ("tol", "0"),
-            ("cond_cap", "1e400"),
-            ("cond_cap", "1" + "0" * 400),
-        ],
-        ids=["list", "nan-string", "negative", "bool", "zero", "float-overflow", "int-overflow"],
-    )
-    def test_tolerance_must_be_finite_positive_number(self, tmp_path, key, literal, capfd):
-        """Every value other than the legacy one is rejected, the non-numbers too."""
-        data = _with_legacy_tolerances(generate_instance("dual-pair", 2, 2, 3, seed=2))
-        path = _write_with_literal(tmp_path, data, ("tolerances", key), literal)
-        with pytest.raises(SpecFormatError, match="kernel rule is fixed") as err:
+    @pytest.mark.parametrize("kind, literal", _ANY_TOLERANCES)
+    def test_tolerances_is_an_unknown_key(self, tmp_path, kind, literal, capfd):
+        """A spec sets no tolerance: a ``tolerances`` key of any content, gen's
+        old one included, exits 3 as an unknown key, from a file and a dict alike."""
+        data = {**generate_instance(kind, 2, 2, 3, seed=2).to_dict(), "tolerances": None}
+        path = _write_with_literal(tmp_path, data, ("tolerances",), literal)
+        with pytest.raises(SpecFormatError, match="^tolerances: unknown key, not one of ") as err:
             load_spec(path)
-        assert str(err.value).startswith(f"tolerances.{key}: ")
-        for method in ("canonical", "minimal"):
-            code, report = run_command(["dual", str(path), "--method", method])
-            assert code == 3 and report.error.startswith(f"SpecFormatError: tolerances.{key}:")
-        assert capfd.readouterr().err == ""
-
-    @pytest.mark.parametrize(
-        "key, literal", [("tol", "1e-09"), ("cond", "1000000000000.0"), ("seed", "3")]
-    )
-    def test_tolerances_hold_only_cond_cap_and_rank_tol(self, tmp_path, key, literal, capfd):
-        data = _with_legacy_tolerances(generate_instance("dual-pair", 2, 2, 3, seed=2))
-        path = _write_with_literal(tmp_path, data, ("tolerances", key), literal)
-        with pytest.raises(SpecFormatError, match="the certification tolerance is --tol") as err:
-            load_spec(path)
-        assert str(err.value).startswith(f"tolerances.{key}: ")
+        with pytest.raises(SpecFormatError) as from_dict:
+            FrameSpecFile.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        assert str(from_dict.value) == str(err.value)
         for sub, *extra in (["dual", "--method", "canonical"], ["dual", "--method", "minimal"],
                             ["verify"]):
             code, report = run_command([sub, str(path), *extra])
-            assert code == 3 and report.error.startswith(f"SpecFormatError: tolerances.{key}:")
-        assert capfd.readouterr().err == ""
-
-    @pytest.mark.parametrize(
-        "tolerances, key",
-        [({"cond_cap": 1e6}, "cond_cap"), ({"cond_cap": 1e12, "rank_tol": 1e-8}, "rank_tol"),
-         ({"rank_tol": 1e-12}, "cond_cap"), ({}, "cond_cap")],
-        ids=["cond_cap-1e6", "rank_tol-1e-8", "cond_cap-missing", "empty"],
-    )
-    def test_other_tolerances_exit_3(self, tmp_path, tolerances, key, capfd):
-        data = {**generate_instance("dual-pair", 2, 2, 3, seed=2).to_dict(),
-                "tolerances": tolerances}
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(data), encoding="utf-8")
-        for method in ("canonical", "minimal"):
-            code, report = run_command(["dual", str(path), "--method", method])
-            assert code == 3 and report.error.startswith(f"SpecFormatError: tolerances.{key}: ")
-            assert "kernel rule is fixed at 1e-12" in report.error
+            assert code == 3 and report.error == f"SpecFormatError: {err.value}"
         assert capfd.readouterr().err == ""
 
     @pytest.mark.parametrize(
@@ -406,23 +402,6 @@ class TestInputBoundary:
             code, report = run_command([sub, str(path)])
             assert code == 3 and report.error.startswith(f"SpecFormatError: {key}.target_rank:")
         assert capfd.readouterr().err == ""
-
-    @pytest.mark.parametrize("literal", ["false", "0", "[]", '""', "[1]"])
-    def test_tolerances_must_be_an_object(self, tmp_path, literal, capfd):
-        data = json.loads(generate_instance("dual-pair", 2, 2, 3, seed=2).to_json())
-        path = _write_with_literal(tmp_path, data, ("tolerances",), literal)
-        code, report = run_command(["dual", str(path)])
-        assert code == 3 and report.error.startswith("SpecFormatError: tolerances: ")
-        assert "kernel rule is fixed" in report.error
-        assert capfd.readouterr().err == ""
-
-    def test_integer_tolerance_accepted(self, tmp_path):
-        """The legacy values spelled as integers equal them, so they load too."""
-        data = _with_legacy_tolerances(generate_instance("dual-pair", 2, 2, 3, seed=2))
-        path = _write_with_literal(tmp_path, data, ("tolerances", "cond_cap"), "1000000000000")
-        spec = load_spec(path)
-        assert spec.to_json() == generate_instance("dual-pair", 2, 2, 3, seed=2).to_json()
-        assert run_command(["dual", str(path)])[0] == 0
 
     @pytest.mark.parametrize("keys, field, literal", _NOT_JSON_NUMBERS)
     def test_number_field_rejects_other_json_types(self, tmp_path, keys, field, literal, capfd):
@@ -546,15 +525,6 @@ class TestGenerators:
         b = generate_instance("known-bounds", 2, 3, 4, seed=123)
         assert a.to_json() == b.to_json()
 
-    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
-    def test_generated_tolerances_are_the_read_ones(self, tmp_path, kind):
-        """gen writes no tolerances; the ones it once wrote still load, to the same spec."""
-        spec = generate_instance(kind, 2, 2, 3, seed=12)
-        assert "tolerances" not in spec.to_dict()
-        path = tmp_path / "legacy.json"
-        path.write_text(json.dumps(_with_legacy_tolerances(spec)), encoding="utf-8")
-        assert load_spec(path).to_json() == spec.to_json()
-
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             generate_instance("nonsense", 2, 2, 2, seed=0)
@@ -598,10 +568,11 @@ class TestCliContract:
         # witness must reproduce a negative gap eigenvalue standalone
         spec = load_spec(path)
         wit = decode_vector(report.witnesses["falsifying_vector"])
-        g_lo, _ = gap_matrices(
-            OperatorFamily(spec.operators), spec.target_operator, spec.bounds, wit
+        lo, _ = direct_gap_eigs(
+            OperatorFamily(spec.operators), spec.target_operator, spec.bounds.lower,
+            spec.bounds.upper, wit
         )
-        assert np.linalg.eigvalsh(0.5 * (g_lo + np.conj(g_lo.T)))[0] < -0.5e-9
+        assert lo < -0.5e-9
 
     def test_exit_two_near_scalar_inconclusive(self, tmp_path):
         path = tmp_path / "near.json"

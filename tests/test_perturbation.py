@@ -19,6 +19,8 @@ from modframes import (
     random_operator,
     sample_vectors,
 )
+from modframes.cli import run_command
+from modframes.io import FrameSpecFile, save_spec
 from modframes.perturbation import _exact_constant
 from conftest import (
     cholesky_pencil_max,
@@ -195,15 +197,32 @@ class TestPerturbationCheck:
         assert rep.derived.min_gap_upper >= -1e-10
         assert rep.converse_M is None or rep.converse_M > 0
 
-    def test_small_perturbation_wide_margins(self, rng):
+    def test_small_perturbation_wide_margins(self, rng, tmp_path, capsys):
         fam, k, bounds = self._certified_setup(rng)
         pert = _perturbed(fam, rng, scale=1e-6)
         rep = perturbation_check(fam, pert, k, k, bounds)
         assert 0.0 < rep.M_estimate < 1e-6
-        assert rep.M_kind == "exact"
         assert rep.derived.verdict == "certified"
         assert rep.derived.min_gap_lower >= -1e-10
         assert rep.analysis_rank == 4  # full rank: conclusion machinery applies
+        # the CLI reports the same M, labelled exact
+        path = tmp_path / "pair.json"
+        save_spec(FrameSpecFile(2, 2, fam.members, second_operators=pert.members,
+                                target_operator=k, bounds=bounds), path)
+        code, report = run_command(["perturb", str(path)])
+        capsys.readouterr()
+        assert code == 0 and report.residuals["M_kind"] == "exact"
+        assert report.residuals["M_estimate"] == rep.M_estimate
+
+    def test_families_on_different_source_modules_rejected(self, rng):
+        """L on A^2 and G on A^3 with the same target ranks: a shape error
+        naming the mismatch, before any hypothesis is checked."""
+        fam, k, bounds = self._certified_setup(rng)
+        other = OperatorFamily([random_operator(2, 3, m.target_rank, rng) for m in fam.members])
+        with pytest.raises(ShapeMismatchError, match="families must share the source module"):
+            perturbation_check(fam, other, k, k, bounds)
+        with pytest.raises(ShapeMismatchError, match="families must share the source module"):
+            perturbation_constant(fam, other)
 
     def test_huge_perturbation_weak_lower_bound(self, rng):
         fam, k, bounds = self._certified_setup(rng)
