@@ -1,19 +1,19 @@
 """Frame-specification files and reproducible instance generators.
 
-A spec file is JSON with complex entries encoded as [re, im] pairs and
-matrices as row-major nested lists.  Operators are stored blockwise: a
-``blocks`` field is a source_rank x target_rank nest of d x d matrices.
-The same helpers serialize vectors and bounds for CLI reports.  A spec is
-written compact, ``json.dumps(spec, sort_keys=True)`` and a newline, and read
-in any layout; floats are spelled in shortest round-trip repr, so a round
-trip is byte-stable.  A spec sets no tolerance, since the duals' kernel rule is
-fixed: a ``tolerances`` key is rejected like any unknown key.
+A spec file is JSON.  An operator's ``blocks`` is the (n, m, d, d) array of
+block row, block column, row, column, written packed: strict base64 of its
+little-endian complex128 bytes in that order (``pack_blocks``).  The nested
+form, [re, im] pairs in row-major lists, is still read, and reports write it
+for vectors, operators and bounds.  A spec is written compact,
+``json.dumps(spec, sort_keys=True)`` and a newline, and read in any layout;
+floats keep their shortest round-trip repr and packed entries their bits, so
+a round trip is byte-stable.  A spec sets no tolerance, since the duals'
+kernel rule is fixed: a ``tolerances`` key is rejected like any unknown key.
 
-Every reader of a nest of [re, im] pairs walks it entry by entry, so a
-boolean in a pair is rejected, ``decode_vector`` included.  ``load_spec``
-skips the walk, reading each nest through one ``np.asarray``, only when its
-text spells neither ``true`` nor ``false``.  A spec with several faults names
-the first in read order, from a dict and a file alike.  A process decodes each
+One reader takes every nest of [re, im] pairs, ``decode_vector`` included: it
+checks each level whole, so a boolean in a pair is rejected, and walks the
+nest only to name the first fault.  A spec with several faults names the
+first in read order, from a dict and a file alike.  A process decodes each
 distinct spec text once while it is among the last two read (``CACHED_TEXTS``):
 every load of it returns the same frozen spec over read-only arrays, and no
 error is kept.  A spec owns its families (``family``, ``second_family``), so
@@ -22,7 +22,9 @@ every subcommand reading one spec shares one Gram matrix and one spectrum.
 
 from __future__ import annotations
 
+import binascii
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -62,24 +64,46 @@ def _nest_fault(data, shape: tuple, path: str) -> str | None:
     return None
 
 
-def _complex_nest(data, shape: tuple, path: str, fast: bool = False) -> np.ndarray:
-    """The complex array of ``shape`` that a nest of [re, im] pairs spells, bit
-    for bit; on any fault, the error names its field.  The nest is walked, then
-    read by one ``np.asarray``; ``fast`` reads first, unwalked, a nest known to
-    hold no boolean (which the read takes as 1 or 0), walking only if that fails."""
-    if fast:
-        try:
-            arr = np.asarray(data)
-            if arr.shape == (*shape, 2) and arr.dtype.kind in "iuf":
-                arr = arr.astype(np.float64, copy=False)
-                if np.all(np.abs(arr) <= MAX_ENTRY):  # NaN and inf fail this too
-                    return arr.view(np.complex128)[..., 0]
-        except (ValueError, OverflowError):  # ragged nesting; an integer beyond the float range
-            pass
-    fault = _nest_fault(data, shape, path)
-    if fault:
-        raise SpecFormatError(fault)
-    return np.asarray(data, dtype=np.float64).view(np.complex128)[..., 0]
+def _complex_nest(data, shape: tuple, path: str) -> np.ndarray:
+    """The complex array of ``shape`` that a nest of [re, im] pairs holds, bit
+    for bit.  Each level is checked whole, its types and lengths, then the leaves
+    are ints and floats (no bool) read by one ``np.array``; only a nest at fault
+    is walked, by ``_nest_fault``, to name its field."""
+    level = [data]
+    for size in (*shape, 2):
+        if {*map(type, level)} != {list} or {*map(len, level)} != {size}:
+            raise SpecFormatError(_nest_fault(data, shape, path))
+        level = [*itertools.chain.from_iterable(level)]
+    try:
+        parts = np.array(level, dtype=np.float64) if {*map(type, level)} <= {int, float} else None
+    except OverflowError:  # an integer beyond the float range
+        parts = None
+    if parts is None or not np.all(np.abs(parts) <= MAX_ENTRY):  # NaN and inf fail this too
+        raise SpecFormatError(_nest_fault(data, shape, path))
+    return parts.view(np.complex128).reshape(shape)
+
+
+def pack_blocks(arr: np.ndarray) -> str:
+    """Strict base64 of ``arr``'s little-endian complex128 bytes in C order: what
+    ``_unpack`` reads and a spec file stores as an operator's ``blocks``."""
+    raw = np.ascontiguousarray(arr, dtype="<c16").tobytes()
+    return binascii.b2a_base64(raw, newline=False).decode("ascii")
+
+
+def _unpack(text: str, shape: tuple, path: str) -> np.ndarray:
+    """The writable complex array of ``shape`` that ``pack_blocks`` wrote as ``text``."""
+    try:
+        raw = binascii.a2b_base64(text)
+    except (binascii.Error, ValueError):  # bad padding; a character beyond ASCII
+        raw = b""
+    if binascii.b2a_base64(raw, newline=False).decode("ascii") != text:  # raw's one spelling
+        raise SpecFormatError(f"{path}: packed blocks must be strict base64")
+    if len(raw) != 16 * math.prod(shape):
+        raise SpecFormatError(f"{path}: expected {16 * math.prod(shape)} bytes, got {len(raw)}")
+    parts = np.frombuffer(bytearray(raw), dtype="<f8")
+    if not np.all(np.abs(parts) <= MAX_ENTRY):  # NaN and inf fail this too
+        raise SpecFormatError(f"{path}: every |re|, |im| must be finite, at most {MAX_ENTRY:g}")
+    return parts.view("<c16").reshape(shape)
 
 
 def _as_int(value, path: str, least: int = 1) -> int:
@@ -115,19 +139,22 @@ def encode_matrix(mat: np.ndarray) -> list:
     return np.ascontiguousarray(mat).view(np.float64).reshape(*mat.shape, 2).tolist()
 
 
-def _decode_operator(data, dim: int, source_rank: int, path: str, fast: bool) -> ModuleOperator:
+def _decode_operator(data, dim: int, source_rank: int, path: str) -> ModuleOperator:
     if not isinstance(data, dict):
         raise SpecFormatError(f"{path}: expected an object with target_rank and blocks")
     n, m = source_rank, _as_int(data.get("target_rank"), f"{path}.target_rank")
-    arr = _complex_nest(data.get("blocks"), (n, m, dim, dim), f"{path}.blocks", fast)
+    read = _unpack if isinstance(data.get("blocks"), str) else _complex_nest
+    arr = read(data.get("blocks"), (n, m, dim, dim), f"{path}.blocks")
     _known(data, ("target_rank", "blocks"), f"{path}.")
     return ModuleOperator(dim, n, m, arr.transpose(0, 2, 1, 3).reshape(n * dim, m * dim))
 
 
-def encode_operator(op: ModuleOperator) -> dict:
+def encode_operator(op: ModuleOperator, encode=encode_matrix) -> dict:
+    """The operator with its (n, m, d, d) blocks through ``encode``: nested
+    [re, im] pairs for a report, ``pack_blocks`` text for a spec file."""
     n, m, d = op.source_rank, op.target_rank, op.dim
     blocks = op.flat.reshape(n, d, m, d).transpose(0, 2, 1, 3)
-    return {"target_rank": m, "blocks": encode_matrix(blocks)}
+    return {"target_rank": m, "blocks": encode(blocks)}
 
 
 def encode_vector(x: ModuleVector) -> dict:
@@ -153,7 +180,7 @@ def encode_bounds(bounds: FrameBounds) -> dict:
     }
 
 
-def _decode_bounds(data, dim: int, path: str, fast: bool) -> FrameBounds:
+def _decode_bounds(data, dim: int, path: str) -> FrameBounds:
     if not isinstance(data, dict):
         raise SpecFormatError(f"{path}: expected an object with mode, lower and upper")
     if data.get("mode") not in ("scalar", "algebra"):
@@ -161,7 +188,7 @@ def _decode_bounds(data, dim: int, path: str, fast: bool) -> FrameBounds:
     scalar = data["mode"] == "scalar"
     lower, upper = (
         _as_positive(data.get(k), f"{path}.{k}") if scalar
-        else _complex_nest(data.get(k), (dim, dim), f"{path}.{k}", fast) for k in ("lower", "upper")
+        else _complex_nest(data.get(k), (dim, dim), f"{path}.{k}") for k in ("lower", "upper")
     )
     bounds = (FrameBounds.scalar(lower, upper, dim) if scalar
               else FrameBounds(lower=lower, upper=upper, mode="algebra"))
@@ -175,7 +202,7 @@ def _same_target(op: ModuleOperator, want: int, path: str, what: str) -> ModuleO
     return op
 
 
-def _family(data, dim: int, rank: int, path: str, fast: bool, like=None) -> list[ModuleOperator]:
+def _family(data, dim: int, rank: int, path: str, like=None) -> list[ModuleOperator]:
     """A non-empty list of operators on A^rank.  A second family is indexed
     ``like`` the first: one member per member, on the same target rank."""
     if not isinstance(data, list):
@@ -183,7 +210,7 @@ def _family(data, dim: int, rank: int, path: str, fast: bool, like=None) -> list
     if not data or like is not None and len(data) != len(like):
         want = "a non-empty list" if like is None else f"{len(like)} members, one per operator"
         raise SpecFormatError(f"{path}: expected {want}, got {len(data)}")
-    ops = [_decode_operator(o, dim, rank, f"{path}[{i}]", fast) for i, o in enumerate(data)]
+    ops = [_decode_operator(o, dim, rank, f"{path}[{i}]") for i, o in enumerate(data)]
     for i, ref in enumerate(like or ()):
         _same_target(ops[i], ref.target_rank, f"{path}[{i}]", f"operators[{i}].target_rank")
     return ops
@@ -217,17 +244,19 @@ class FrameSpecFile:
         return None if self.second_operators is None else OperatorFamily(self.second_operators)
 
     def to_dict(self) -> dict:
+        """The file's fields, each operator's ``blocks`` packed as ``save_spec`` writes it."""
+        pack = functools.partial(encode_operator, encode=pack_blocks)
         out: dict = {
             "algebra_dim": self.algebra_dim,
             "module_rank": self.module_rank,
-            "operators": [encode_operator(op) for op in self.operators],
+            "operators": [pack(op) for op in self.operators],
         }
         if self.second_operators is not None:
-            out["second_operators"] = [encode_operator(op) for op in self.second_operators]
+            out["second_operators"] = [pack(op) for op in self.second_operators]
         if self.target_operator is not None:
-            out["target_operator"] = encode_operator(self.target_operator)
+            out["target_operator"] = pack(self.target_operator)
         if self.aux_operator is not None:
-            out["aux_operator"] = encode_operator(self.aux_operator)
+            out["aux_operator"] = pack(self.aux_operator)
         if self.bounds is not None:
             out["bounds"] = encode_bounds(self.bounds)
         if self.seed is not None:
@@ -237,29 +266,23 @@ class FrameSpecFile:
     @classmethod
     def from_dict(cls, data: dict) -> "FrameSpecFile":
         """Read each field once, naming the first fault in read order; an unknown key is one."""
-        return cls._read(data, fast=False)
-
-    @classmethod
-    def _read(cls, data: dict, fast: bool) -> "FrameSpecFile":
-        """``from_dict``, with ``fast`` passed to every nest of [re, im] pairs."""
         if not isinstance(data, dict):
             raise SpecFormatError("top level: expected a JSON object")
         for key in ("algebra_dim", "module_rank", "operators"):
             if key not in data:
                 raise SpecFormatError(f"{key}: required field missing")
         dim, rank = (_as_int(data[key], key) for key in ("algebra_dim", "module_rank"))
-        operators = _family(data["operators"], dim, rank, "operators", fast)
+        operators = _family(data["operators"], dim, rank, "operators")
 
         def endomorphism(value, path):  # K and aux map A^n to A^n
-            op = _decode_operator(value, dim, rank, path, fast)
+            op = _decode_operator(value, dim, rank, path)
             return _same_target(op, rank, path, "module_rank")
 
         optional = {  # null reads as absent
-            "second_operators": lambda value, path: _family(
-                value, dim, rank, path, fast, operators),
+            "second_operators": lambda value, path: _family(value, dim, rank, path, operators),
             "target_operator": endomorphism,
             "aux_operator": endomorphism,
-            "bounds": lambda value, path: _decode_bounds(value, dim, path, fast),
+            "bounds": lambda value, path: _decode_bounds(value, dim, path),
             # The seed records how ``gen`` made the file; no decision reads it.
             "seed": lambda value, path: _as_int(value, path, least=0),
         }
@@ -268,7 +291,7 @@ class FrameSpecFile:
         return cls(dim, rank, operators, **read)
 
     def to_json(self) -> str:
-        """``to_dict`` builds fresh dicts, lists and numbers: no cycle for json to check."""
+        """``to_dict`` builds fresh dicts, lists, strings and numbers: no cycle to check."""
         return json.dumps(self.to_dict(), sort_keys=True, check_circular=False) + "\n"
 
 
@@ -279,15 +302,7 @@ def save_spec(spec: FrameSpecFile, path) -> None:
 
 @functools.lru_cache(maxsize=CACHED_TEXTS)
 def _decode(raw: bytes) -> FrameSpecFile:
-    text = raw.decode("utf-8")
-    data = json.loads(text)
-    # No spec field is boolean, so a text spelling neither "true" nor "false" holds
-    # none for the unwalked read to take as 1 or 0.  Key names hold no "f" and few
-    # "u", and a one-letter search runs at memchr speed, many times faster than "true".
-    at = text.find("u")
-    while at >= 0 and text[max(at - 2, 0):at + 2] != "true":
-        at = text.find("u", at + 1)
-    spec = FrameSpecFile._read(data, fast=at < 0 and not ("f" in text and "false" in text))
+    spec = FrameSpecFile.from_dict(json.loads(raw.decode("utf-8")))
     ops = [*spec.operators, *(spec.second_operators or ()), spec.target_operator, spec.aux_operator]
     bounds = [spec.bounds.lower, spec.bounds.upper] if spec.bounds else []
     for arr in [op.flat for op in ops if op] + bounds:

@@ -34,6 +34,19 @@ def random_family(d: int, n: int, count: int, rng: np.random.Generator) -> Opera
     return OperatorFamily([random_operator(d, n, r, rng) for r in ranks])
 
 
+def nested_dict(spec) -> dict:
+    """``spec.to_dict()`` with each operator's ``blocks`` as nested [re, im]
+    pairs (``io.encode_operator``), the layout older writers used."""
+    data = spec.to_dict()
+    for key in ("operators", "second_operators", "target_operator", "aux_operator"):
+        value = getattr(spec, key)
+        if isinstance(value, ModuleOperator):
+            data[key] = spec_io.encode_operator(value)
+        elif value is not None:
+            data[key] = [spec_io.encode_operator(op) for op in value]
+    return data
+
+
 def random_psd(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
     k = rank if rank is not None else dim
     a = (rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))) / np.sqrt(2)

@@ -3,6 +3,7 @@ operator, and the one writer of every spec and JSON report,
 ``json.dumps(obj, sort_keys=True)`` and a newline."""
 
 import argparse
+import base64
 import copy
 import dataclasses
 import json
@@ -20,7 +21,7 @@ from modframes import FrameBounds, ModuleOperator, cli, generate_instance, load_
 from modframes import io as spec_io
 from modframes.cli import RunReport, run_command
 from modframes.io import GENERATOR_KINDS, FrameSpecFile
-from conftest import parseval_family, random_unitary, tiny_singular_target
+from conftest import nested_dict, parseval_family, random_unitary, tiny_singular_target
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -175,18 +176,25 @@ def _arrays(spec: FrameSpecFile) -> list:
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 def test_spec_in_any_layout_loads_bitwise(tmp_path, kind):
-    """Specs are written compact and read in any layout: the indent=2 text an
-    older writer laid out loads to the same arrays, bit for bit."""
+    """Specs are written compact and packed, and read in any layout: the packed
+    text laid out with indent=2, and the nested [re, im] form older writers
+    wrote, compact or with indent=2, load to the same arrays, bit for bit."""
     spec = generate_instance(kind, 2, 3, 4, seed=6)
-    compact, laid_out = tmp_path / "compact.json", tmp_path / "indented.json"
+    compact = tmp_path / "compact.json"
     save_spec(spec, compact)
     text = compact.read_text(encoding="utf-8")
-    laid_out.write_text(json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n",
-                        encoding="utf-8")
-    assert len(laid_out.read_text(encoding="utf-8")) > 2 * len(text)
-    old, new = load_spec(laid_out), load_spec(compact)
-    assert _arrays(old) == _arrays(new) == _arrays(spec)
-    assert old.seed == new.seed and old.to_json() == new.to_json() == text
+    layouts = {"packed-indented": (json.loads(text), 2), "nested": (nested_dict(spec), None),
+               "nested-indented": (nested_dict(spec), 2)}
+    for name, (data, indent) in layouts.items():
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps(data, sort_keys=True, indent=indent) + "\n", encoding="utf-8")
+    assert len((tmp_path / "nested.json").read_text(encoding="utf-8")) > 1.5 * len(text)
+    new = load_spec(compact)
+    assert _arrays(new) == _arrays(spec) and new.to_json() == text
+    for name in layouts:
+        old = load_spec(tmp_path / f"{name}.json")
+        assert _arrays(old) == _arrays(spec), name
+        assert old.seed == new.seed and old.to_json() == text, name
 
 
 @pytest.mark.parametrize("kind", ["known-bounds", "dual-pair", "bessel-only"])
@@ -198,7 +206,7 @@ def test_old_gen_layout_gives_the_same_dual(tmp_path, capsys, kind):
     assert "tolerances" not in spec.to_dict()
     new, old = tmp_path / "new.json", tmp_path / "old.json"
     save_spec(spec, new)
-    old.write_text(json.dumps(spec.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    old.write_text(json.dumps(nested_dict(spec), sort_keys=True, indent=2) + "\n", encoding="utf-8")
     assert _arrays(load_spec(old)) == _arrays(load_spec(new)) == _arrays(spec)
     for method in ("canonical", "minimal"):
         reports = []
@@ -244,8 +252,8 @@ def _decoded(spec: FrameSpecFile) -> dict:
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 @pytest.mark.parametrize("d, n, count", [(1, 2, 3), (2, 3, 4), (4, 2, 3)])
 def test_one_array_decode_is_bitwise_per_entry(tmp_path, kind, d, n, count):
-    """Both reads, load_spec's unwalked one array and from_dict's walked one."""
-    data = generate_instance(kind, d, n, count, seed=7).to_dict()
+    """A nested spec read from a file and from a dict: one array per nest, bit for bit."""
+    data = nested_dict(generate_instance(kind, d, n, count, seed=7))
     # signed zeros and JSON integers must come through as complex(re, im) reads them
     first = data["operators"][0]["blocks"][0][0]
     first[0][0] = [-0.0, -0.0]
@@ -254,7 +262,11 @@ def test_one_array_decode_is_bitwise_per_entry(tmp_path, kind, d, n, count):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))
     ops = dict(_all_operators(data))
-    for spec in (load_spec(path), FrameSpecFile.from_dict(copy.deepcopy(data))):
+    packed = tmp_path / "packed.json"
+    save_spec(FrameSpecFile.from_dict(copy.deepcopy(data)), packed)
+    reads = (load_spec(path), FrameSpecFile.from_dict(copy.deepcopy(data)), load_spec(packed),
+             FrameSpecFile.from_dict(json.loads(packed.read_text())))
+    for spec in reads:
         read = _decoded(spec)
         assert read.keys() == ops.keys()
         for name, op in read.items():
@@ -333,7 +345,7 @@ def test_malformed_operator_names_field(tmp_path, capfd, mutate, field, words):
 @pytest.mark.parametrize("mutate, field", [m[1:3] for m in _MALFORMED[:2]],
                          ids=[m[0] for m in _MALFORMED[:2]])
 def test_from_dict_names_a_bool_pair_as_load_spec_does(tmp_path, mutate, field):
-    data = generate_instance("known-bounds", 2, 2, 3, seed=1).to_dict()
+    data = nested_dict(generate_instance("known-bounds", 2, 2, 3, seed=1))
     mutate(data)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
@@ -345,40 +357,125 @@ def test_from_dict_names_a_bool_pair_as_load_spec_does(tmp_path, mutate, field):
     assert errors[0] == errors[1] and errors[0].startswith(f"{field}: complex entry")
 
 
-def test_load_spec_walks_for_bools_only_when_the_text_spells_one(tmp_path, monkeypatch):
-    """A clean text takes the unwalked read; one that spells true or false is
-    walked, which names the boolean pair the unwalked read would take as 1 or 0."""
-    walks = []
-    walk = spec_io._nest_fault
+def _counted_walks(monkeypatch) -> list:
+    """The paths ``io._nest_fault`` is called on from now, its own recursion included."""
+    walks, walk = [], spec_io._nest_fault
 
     def counted(data, shape, path):
         walks.append(path)
         return walk(data, shape, path)
 
     monkeypatch.setattr(spec_io, "_nest_fault", counted)
-    data = generate_instance("perturbed-pair", 2, 2, 3, seed=1).to_dict()
+    return walks
+
+
+def test_only_a_nest_at_fault_is_walked(tmp_path, monkeypatch):
+    """A clean nested spec is read with no walk, from a file and a dict alike; a
+    boolean in a pair (true or false) is named alike from both, by a walk that
+    starts at the nest holding it."""
+    walks = _counted_walks(monkeypatch)
+    data = nested_dict(generate_instance("perturbed-pair", 2, 2, 3, seed=1))
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))
     load_spec(path)
-    assert walks == []
     FrameSpecFile.from_dict(data)
-    assert "operators[0].blocks" in walks and "bounds.lower" not in walks  # scalar bounds
+    assert walks == []
     for spelled in (True, False):
-        walks.clear()
         _set(("operators", 1, "blocks", 0, 0, 1, 0, 0), spelled)(data)
         path.write_text(json.dumps(data))
-        with pytest.raises(spec_io.SpecFormatError) as exc:
-            load_spec(path)
-        assert str(exc.value).startswith("operators[1].blocks[0][0][1][0]: complex entry")
-        assert walks[0] == "operators[0].blocks"
+        errors = []
+        for read in (lambda: load_spec(path), lambda: FrameSpecFile.from_dict(data)):
+            walks.clear()
+            with pytest.raises(spec_io.SpecFormatError) as exc:
+                read()
+            errors.append(str(exc.value))
+            assert walks[0] == "operators[1].blocks"
+        assert errors[0] == errors[1]
+        im = data["operators"][1]["blocks"][0][0][1][0][1]
+        assert errors[0] == ("operators[1].blocks[0][0][1][0]: complex entry must be a "
+                             f"[re, im] pair, got [{spelled}, {im}]")
+
+
+def _spelling(text: str) -> float:
+    """A float in [1, 2) whose first six little-endian bytes base64 spells as ``text``."""
+    return float(np.frombuffer(base64.b64decode(text) + b"\xf0\x3f", dtype="<f8")[0])
+
+
+def test_a_packed_payload_spelling_true_false_and_u_is_never_walked(tmp_path, monkeypatch):
+    """The base64 alphabet spells true, false and u: a packed spec whose text
+    holds them loads, from a file and a dict alike, with no nest walked."""
+    spec = generate_instance("known-bounds", 8, 4, 8, seed=11)
+    first = spec.operators[0]
+    flat = first.flat.copy()  # bytes 24 and 48 of the payload start base64 groups
+    flat[0, 1] = complex(flat[0, 1].real, _spelling("falseAAA"))
+    flat[0, 3] = complex(_spelling("trueAAAA"), flat[0, 3].imag)
+    op = ModuleOperator(first.dim, first.source_rank, first.target_rank, flat)
+    spec = dataclasses.replace(spec, operators=(op, *spec.operators[1:]))
+    path = tmp_path / "spec.json"
+    save_spec(spec, path)
+    text = path.read_text()
+    assert "true" in text and "false" in text and text.count("u") > 1000
+    walks = _counted_walks(monkeypatch)
+    for read in (load_spec(path), FrameSpecFile.from_dict(json.loads(text))):
+        assert _arrays(read) == _arrays(spec)
+    assert walks == []
+
+
+# Each fault of a packed operators[1].blocks, of shape (2, 2, 2, 2): 256 bytes,
+# so strict base64 ends in "==".
+_PACKED = np.arange(16, dtype=np.complex128).reshape(2, 2, 2, 2) * (1 - 0.5j)
+_PACKED_FAULTS = [
+    ("non-alphabet", spec_io.pack_blocks(_PACKED)[:-4] + "*A==", "strict base64"),
+    ("lone-surrogate", "\ud800" + spec_io.pack_blocks(_PACKED)[1:], "strict base64"),
+    ("bad-padding", spec_io.pack_blocks(_PACKED)[:-1], "strict base64"),
+    ("16-bytes-short", spec_io.pack_blocks(_PACKED.reshape(-1)[:-1]),
+     "expected 256 bytes, got 240"),
+    ("16-bytes-long", spec_io.pack_blocks(np.append(_PACKED, 0)), "expected 256 bytes, got 272"),
+    ("nan", spec_io.pack_blocks(np.where(_PACKED == 3 - 1.5j, complex(np.nan, 0), _PACKED)),
+     "finite"),
+    ("inf", spec_io.pack_blocks(np.where(_PACKED == 3 - 1.5j, complex(0, np.inf), _PACKED)),
+     "finite"),
+    ("1e51", spec_io.pack_blocks(np.where(_PACKED == 3 - 1.5j, 1e51, _PACKED)), "at most 1e+50"),
+    ("number", 5, "expected 2 block rows"),
+]
+
+
+@pytest.mark.parametrize("blocks, words", [f[1:] for f in _PACKED_FAULTS],
+                         ids=[f[0] for f in _PACKED_FAULTS])
+def test_malformed_packed_blocks_name_the_field(tmp_path, capfd, blocks, words):
+    """Each exits 3 naming operators[1].blocks from a file, and from_dict raises the same."""
+    data = generate_instance("known-bounds", 2, 2, 3, seed=1).to_dict()
+    data["operators"][1] = {"target_rank": 2, "blocks": spec_io.pack_blocks(_PACKED)}
+    FrameSpecFile.from_dict(data)  # the fault is all that is wrong
+    data["operators"][1]["blocks"] = blocks
+    with pytest.raises(spec_io.SpecFormatError) as exc:
+        FrameSpecFile.from_dict(data)
+    message = str(exc.value)
+    assert message.startswith("operators[1].blocks: ") and words in message, message
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, report = run_command(["verify", str(path)])
+    assert code == 3 and report.error == f"SpecFormatError: {message}"
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("d, n, count", [(1, 1, 1), (2, 1, 1), (1, 3, 2), (2, 2, 3)])
+def test_from_dict_of_a_packed_spec_returns_writable_arrays(d, n, count):
+    """A packed payload is a read-only buffer; n = m = 1 or d = 1 would reshape
+    it without a copy, so each array must still come back writable."""
+    data = generate_instance("perturbed-pair", d, n, count, seed=2).to_dict()
+    spec = FrameSpecFile.from_dict(data)
+    for name, op in _decoded(spec).items():
+        assert op.flat.flags.writeable, name
+        op.flat[0, 0] += 1
 
 
 def test_a_dict_and_a_file_name_the_first_fault_in_read_order(tmp_path):
     """A boolean pair in operators[1] comes before a NaN in bounds.lower: both
-    readers walk each nest as they reach it, so both name the pair."""
+    readers read each nest as they reach it, so both name the pair."""
     spec = generate_instance("known-bounds", 2, 2, 3, seed=1)
     bounds = FrameBounds(lower=spec.bounds.lower, upper=spec.bounds.upper, mode="algebra")
-    data = dataclasses.replace(spec, bounds=bounds).to_dict()
+    data = nested_dict(dataclasses.replace(spec, bounds=bounds))
     _set(("operators", 1, "blocks", 0, 0, 1, 0, 0), True)(data)
     _set(("bounds", "lower", 0, 1, 0), float("nan"))(data)
     path = tmp_path / "bad.json"
@@ -390,7 +487,7 @@ def test_a_dict_and_a_file_name_the_first_fault_in_read_order(tmp_path):
 
 
 def test_integer_beyond_int64_inside_the_cap_is_read(tmp_path):
-    data = generate_instance("known-bounds", 2, 2, 3, seed=1).to_dict()
+    data = nested_dict(generate_instance("known-bounds", 2, 2, 3, seed=1))
     data["operators"][0]["blocks"][0][0][1][0] = [2**70, -(2**64)]
     spec = FrameSpecFile.from_dict(data)
     assert spec.operators[0].flat[1, 0] == complex(float(2**70), -float(2**64))

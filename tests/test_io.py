@@ -27,7 +27,7 @@ from modframes import cli
 from modframes import io as spec_io
 from modframes.cli import run_command
 from modframes.io import GENERATOR_KINDS, FrameSpecFile, decode_vector, encode_vector
-from conftest import direct_gap_eigs, make_rng, near_scalar_spec
+from conftest import direct_gap_eigs, make_rng, near_scalar_spec, nested_dict
 
 
 def _algebra_bounds(spec: FrameSpecFile) -> FrameSpecFile:
@@ -96,10 +96,9 @@ class TestRoundTrip:
         reads = {
             "vector.blocks[0][0][0]": lambda: decode_vector({"dim": 1, "blocks": [pair]}),
             "op.blocks[0][0][0][0]": lambda: spec_io._decode_operator(
-                {"target_rank": 1, "blocks": [[pair]]}, 1, 1, "op", fast=False),
+                {"target_rank": 1, "blocks": [[pair]]}, 1, 1, "op"),
             "bounds.lower[0][0]": lambda: spec_io._decode_bounds(
-                {"mode": "algebra", "lower": pair, "upper": [[[1.0, 0.0]]]}, 1, "bounds",
-                fast=False),
+                {"mode": "algebra", "lower": pair, "upper": [[[1.0, 0.0]]]}, 1, "bounds"),
         }
         for field, read in reads.items():
             with pytest.raises(SpecFormatError) as err:
@@ -108,8 +107,7 @@ class TestRoundTrip:
             assert str(err.value) == message
 
     def test_corrupted_entry_arity_names_field(self, tmp_path):
-        spec = generate_instance("tight", 2, 2, 2, seed=1)
-        data = json.loads(spec.to_json())
+        data = nested_dict(generate_instance("tight", 2, 2, 2, seed=1))
         data["operators"][0]["blocks"][1][0][0][1] = [1.0, 2.0, 3.0]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
@@ -128,7 +126,7 @@ class TestRoundTrip:
     )
     def test_non_finite_entry_names_field(self, tmp_path, bad, keys, field):
         spec = _algebra_bounds(generate_instance("known-bounds", 2, 2, 2, seed=1))
-        data = json.loads(spec.to_json())
+        data = nested_dict(spec)
         entry = data
         for key in keys:
             entry = entry[key]
@@ -152,7 +150,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("big", [1e200, 10**400], ids=["float", "int"])
     def test_oversized_entry_names_field(self, tmp_path, big, keys, field, capfd):
         spec = _algebra_bounds(generate_instance("known-bounds", 2, 2, 2, seed=1))
-        data = json.loads(spec.to_json())
+        data = nested_dict(spec)
         entry = data
         for key in keys:
             entry = entry[key]
@@ -978,7 +976,7 @@ class TestDecodeCache:
 
     def test_a_bad_text_raises_every_time_and_is_never_kept(self, tmp_path):
         path = tmp_path / "spec.json"
-        good = self._one_entry(0.25 + 0.5j).to_json()
+        good = json.dumps(nested_dict(self._one_entry(0.25 + 0.5j))) + "\n"
         bools = good.replace("[0.25, 0.5]", "[true, 0.5]")
         assert bools != good
         for text, error in ((good[:-5], f"{path}: invalid JSON at line 1"),
@@ -1051,15 +1049,15 @@ class TestDecodeCache:
             copies.append(tmp_path / f"copy{i}.json")
             copies[-1].write_bytes(path.read_bytes())
         reads = []
-        read = FrameSpecFile._read.__func__
+        read = FrameSpecFile.from_dict.__func__
 
-        def counted(cls, data, fast):
-            reads.append(fast)
-            return read(cls, data, fast)
+        def counted(cls, data):
+            reads.append(data["seed"])
+            return read(cls, data)
 
-        monkeypatch.setattr(FrameSpecFile, "_read", classmethod(counted))
+        monkeypatch.setattr(FrameSpecFile, "from_dict", classmethod(counted))
         power = run_command(["tensor", str(path), str(path), str(path)])
-        assert reads == [True]
+        assert reads == [9]
         spec_io._decode.cache_clear()
         apart = run_command(["tensor", *map(str, copies)])
         assert power[0] == apart[0] == 0
@@ -1163,10 +1161,13 @@ class TestFrozenSpec:
 # Valid specs and the subcommands that read them: every field of each is read
 # by at least one of its subcommands.
 _algebra_kb = _algebra_bounds(generate_instance("known-bounds", 2, 2, 2, seed=5))
+# Operators are nested, so a mutation can reach any [re, im] entry, and packed
+# in one more base, so it can reach a payload.
 _CONTRACT_BASES = [
-    (generate_instance("perturbed-pair", 2, 2, 2, seed=5).to_dict(), ("perturb", "verify")),
-    (generate_instance("dual-pair", 2, 2, 2, seed=5).to_dict(), ("dual", "tensor")),
-    (_algebra_kb.to_dict(), ("verify", "bounds", "douglas")),
+    (nested_dict(generate_instance("perturbed-pair", 2, 2, 2, seed=5)), ("perturb", "verify")),
+    (nested_dict(generate_instance("dual-pair", 2, 2, 2, seed=5)), ("dual", "tensor")),
+    (nested_dict(_algebra_kb), ("verify", "bounds", "douglas")),
+    (generate_instance("dual-pair", 2, 2, 2, seed=5).to_dict(), ("dual", "perturb")),
 ]
 # A literal spelled into the file as it stands, as "@1e400@" becomes 1e400
 # (which json reads as inf).
