@@ -20,13 +20,15 @@ Exit codes:
        --tol (the near-scalar window); the inequality fails, but no witness
        clears the tolerance.  Also a tensor product too large to form whose
        residual bounds straddle the tolerance (``undecided_factors``)
-    3  input error (a path that cannot be read or written, parse error,
-       inconsistent shapes, non-finite or oversized entries)
+    3  input error: a rejected command line, a path that cannot be read or
+       written (OSError), or a spec field at fault (SpecFormatError, naming
+       it: unparsable JSON, inconsistent shapes, non-finite or oversized
+       entries)
     4  hypothesis failure (singular frame operator, missing range
        inclusion, non-co-isometry, infinite perturbation constant); a
        failure that carries a vector reports it as ``hypothesis_vector``
-    5  internal error: an unexpected exception, a LAPACK LinAlgError
-       included, reported as "InternalError: <type>: <message>"
+    5  internal error: any other exception, a plain ValueError or a LAPACK
+       error included, reported as "InternalError: <type>: <message>"
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field, fields
-
-from numpy.linalg import LinAlgError
 
 from . import io as spec_io
 from .algebra import DEFAULT_TOL
@@ -364,9 +364,9 @@ def run_command(argv: list[str]) -> tuple[int, RunReport]:
             report.witnesses["hypothesis_vector"] = spec_io.encode_vector(exc.witness)
         code = EXIT_HYPOTHESIS
     except Exception as exc:  # the CLI surfaces failures, it never panics
-        # ValueError (SpecFormatError too) and OSError (a path that cannot be read
-        # or written) are input errors; LAPACK's LinAlgError is ours
-        internal = isinstance(exc, LinAlgError) or not isinstance(exc, (OSError, ValueError))
+        # a spec field at fault or a path that cannot be read or written is the
+        # input's; anything else, a plain ValueError or a LAPACK error too, is ours
+        internal = not isinstance(exc, (OSError, spec_io.SpecFormatError))
         if internal:
             traceback.print_exc(file=sys.stderr)  # a bug: keep where it happened
         report.error = f"{'InternalError: ' if internal else ''}{type(exc).__name__}: {exc}"

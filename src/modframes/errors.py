@@ -1,11 +1,13 @@
 """Exception hierarchy shared by all modframes modules.
 
-Two families matter to callers: input problems (``ShapeMismatchError``,
-``SpecFormatError`` and plain ``ValueError``) and failed mathematical
-hypotheses (``HypothesisError`` subclasses).  The CLI maps the former to exit
-code 3 and the latter to exit code 4, writing a hypothesis failure's
-``witness``, when it has one, as the report's ``hypothesis_vector``; any other
-exception is an internal error, exit code 5.
+Two families matter to callers: input problems (``SpecFormatError``, which
+names the field at fault) and failed mathematical hypotheses
+(``HypothesisError`` subclasses).  The CLI maps the former, and an ``OSError``
+on a path, to exit code 3 and the latter to exit code 4, writing a hypothesis
+failure's ``witness``, when it has one, as the report's ``hypothesis_vector``.
+The spec reader checks every shape, so any other exception, a plain
+``ValueError`` or ``ShapeMismatchError`` included, is an internal error, exit
+code 5.
 """
 
 

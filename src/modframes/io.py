@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duals import canonical_dual
-from .errors import SpecFormatError
+from .errors import ModframesError, SpecFormatError
 from .frames import FrameBounds, OperatorFamily, optimal_scalar_bounds
 from .module import ModuleVector
 from .operators import ModuleOperator, compose, random_operator
@@ -317,11 +317,13 @@ def load_spec(path) -> FrameSpecFile:
         raw = fh.read()
     try:
         return _decode(raw)
+    except ModframesError:  # raised by from_dict, not by json: pass it on
+        raise
     except UnicodeDecodeError as exc:
         raise SpecFormatError(f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    except RecursionError as exc:  # json's own limit on nesting
+    except (RecursionError, ValueError) as exc:  # json's own limits: nesting, integer digits
         raise SpecFormatError(f"{path}: invalid JSON: {exc}") from None
 
 

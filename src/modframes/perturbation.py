@@ -142,7 +142,10 @@ def perturbation_check(
     norm_a = algebra.opnorm(boundsL.lower)
     norm_b = algebra.opnorm(boundsL.upper)
     lo, up = perturbed_frame_bounds(norm_a, norm_b, m)
-    derived = certify(G, Lop, FrameBounds.scalar(math.sqrt(lo), math.sqrt(up), L.dim), tol)
+    # sqrt(lo) is ||A|| / (1 + sqrt(M)), kept positive where lo underflows to 0:
+    # its square is then 0, as lo is
+    alpha = math.sqrt(lo) or norm_a / (1 + math.sqrt(m)) or math.ulp(0.0)
+    derived = certify(G, Lop, FrameBounds.scalar(alpha, math.sqrt(up), L.dim), tol)
     rank = int(np.sum(range_mask(G.spectrum[0])))
 
     converse = _converse_if_applicable(G, K, Lop, norm_a, norm_b, tol)

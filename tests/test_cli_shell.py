@@ -535,9 +535,18 @@ def test_reused_parser_leaks_nothing(tmp_path, capsys, monkeypatch, sequence):
     assert len(calls) == 1
 
 
-def test_reused_parser_matches_fresh_process(tmp_path, capsys):
-    spec = _spec(tmp_path)
-    argv = ["dual", spec, "--method", "minimal"]
+@pytest.mark.parametrize("kind, argv", [
+    ("dual-pair", ["dual", "@", "--method", "minimal"]),
+    ("known-bounds", ["verify", "@"]),
+    ("known-bounds", ["bounds", "@"]),
+    ("known-bounds", ["dual", "@"]),
+    ("known-bounds", ["dual", "@", "--method", "minimal"]),
+], ids=["dual-minimal", "kb-verify", "kb-bounds", "kb-dual", "kb-dual-minimal"])
+def test_reused_parser_matches_fresh_process(tmp_path, capsys, kind, argv):
+    """A warm run, after others on the same spec text in one process, gives
+    the exit code and stdout bytes of a fresh process."""
+    spec = _spec(tmp_path, kind)
+    argv = [spec if a == "@" else a for a in argv]
     run_command(["bounds", spec, "--seed", "5"])
     run_command(["dual", spec, "--format", "text"])
     capsys.readouterr()

@@ -195,6 +195,16 @@ class TestRoundTrip:
         assert report.error.startswith(f"SpecFormatError: {path}: invalid JSON: maximum recursion")
         assert capfd.readouterr().err == ""
 
+    def test_integer_beyond_the_digit_limit_is_an_input_error(self, tmp_path, capfd):
+        """json's limit on integer digits (4300) is the file's fault as well."""
+        path = tmp_path / "digits.json"
+        text = generate_instance("known-bounds", 2, 2, 3, seed=1).to_json()
+        path.write_text(text.replace('"seed": 1', '"seed": ' + "7" * 5000), encoding="utf-8")
+        code, report = run_command(["verify", str(path)])
+        assert code == 3
+        assert report.error.startswith(f"SpecFormatError: {path}: invalid JSON: Exceeds the limit")
+        assert capfd.readouterr().err == ""
+
     def test_non_utf8_names_the_file_and_byte(self, tmp_path, capfd):
         good = tmp_path / "dp.json"
         save_spec(generate_instance("dual-pair", 2, 2, 3, seed=1), good)
@@ -657,6 +667,27 @@ class TestCliContract:
         res = report.residuals
         assert min(res["worst_lower_margin"], res["worst_upper_margin"]) >= -1e-9
         assert decode_vector(report.witnesses["M_witness"]).dim == 2
+
+    @pytest.mark.parametrize("lower, scale", [(1e-200, None), (5e-324, 10.0)],
+                             ids=["tiny-lower", "tiny-lower-large-M"])
+    def test_perturb_gives_a_verdict_where_the_derived_lower_bound_underflows(
+            self, tmp_path, capfd, lower, scale):
+        """||A||^2 / (1 + sqrt(M))^2 underflows to 0 for a lower bound the reader
+        takes; perturb still decides, reporting derived_lower 0.  With second
+        operators 10 times the first (M = 81), ||A|| / (1 + sqrt(M)) is 0 too."""
+        spec = generate_instance("perturbed-pair", 2, 2, 3, seed=1)
+        if scale is not None:
+            spec = replace(spec, second_operators=[op * scale for op in spec.operators])
+        data = spec.to_dict()
+        data["bounds"]["lower"] = lower
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert run_command(["verify", str(path)])[0] == 0
+        code, report = run_command(["perturb", str(path)])
+        assert code == 0, report.error
+        assert report.verdicts["derived_bounds_hold"] is True
+        assert report.bounds["derived_lower"] == 0.0
+        assert capfd.readouterr().err == ""
 
     @pytest.mark.parametrize("kind, sub", [("known-bounds", "verify")])
     def test_samples_accepted_and_ignored(self, tmp_path, capsys, kind, sub):
@@ -1178,7 +1209,8 @@ def _replacements(value) -> list[tuple[object, bool]]:
     """(replacement, whether no spec field at all can hold it)."""
     return [(True, True), (False, True), (float("nan"), True), ("@1e400@", True),
             ("@-1e400@", True), ("2", True), ([value], True), ({"x": value}, True),
-            (None, False), (0, False), (-1, False), (0.5, False), (10**30, False)] + (
+            (None, False), (0, False), (-1, False), (0.5, False), (10**30, False),
+            (1e-200, False)] + (
         [(-value, False), (float(value), False), (str(value), True)]
         if type(value) in (int, float) else [])
 
