@@ -24,9 +24,9 @@ Exit codes:
        written (OSError), or a spec field at fault (SpecFormatError, naming
        it: unparsable JSON, inconsistent shapes, non-finite or oversized
        entries)
-    4  hypothesis failure (singular frame operator, missing range
-       inclusion, non-co-isometry, infinite perturbation constant); a
-       failure that carries a vector reports it as ``hypothesis_vector``
+    4  hypothesis failure (singular frame operator, missing range inclusion,
+       non-co-isometry, infinite perturbation constant or transferred upper
+       bound); a failure that carries a vector reports it as ``hypothesis_vector``
     5  internal error: any other exception, a plain ValueError or a LAPACK
        error included, reported as "InternalError: <type>: <message>"
 """
@@ -94,12 +94,6 @@ def _num(x: float) -> float | str:
     return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
 
 
-def _target(spec: spec_io.FrameSpecFile) -> ModuleOperator:
-    if spec.target_operator is not None:
-        return spec.target_operator
-    return ModuleOperator.identity(spec.algebra_dim, spec.module_rank)
-
-
 def _second_family(spec: spec_io.FrameSpecFile, pipeline: str) -> OperatorFamily:
     if spec.second_family is None:
         raise spec_io.SpecFormatError(f"second_operators: required for the {pipeline}")
@@ -156,7 +150,7 @@ def _cmd_gen(args, report: RunReport) -> int:
 def _cmd_verify(args, report: RunReport) -> int:
     spec = spec_io.load_spec(args.spec)
     family = spec.family
-    target = _target(spec)
+    target = spec.target
     bounds, bounds_source = _bounds_or_optimal(spec, family, target)
     cert = certify(family, target, bounds, args.tol)
 
@@ -181,7 +175,7 @@ def _cmd_verify(args, report: RunReport) -> int:
 
 def _cmd_bounds(args, report: RunReport) -> int:
     spec = spec_io.load_spec(args.spec)
-    alpha, beta = optimal_scalar_bounds(spec.family, _target(spec))
+    alpha, beta = optimal_scalar_bounds(spec.family, spec.target)
     report.bounds = {"mode": "scalar", "lower": _num(alpha), "upper": _num(beta)}
     report.verdicts = {"computed": True}
     return EXIT_OK
@@ -190,7 +184,7 @@ def _cmd_bounds(args, report: RunReport) -> int:
 def _cmd_dual(args, report: RunReport) -> int:
     spec = spec_io.load_spec(args.spec)
     family = spec.family
-    target = _target(spec)
+    target = spec.target
     dual = (canonical_dual if args.method == "canonical" else minimal_dual)(family, target)
     pair = verify_dual(family, dual, target, tol=args.tol)
     report.verdicts = {"verified": pair.verified, "method": args.method}
@@ -206,7 +200,7 @@ def _cmd_perturb(args, report: RunReport) -> int:
     spec = spec_io.load_spec(args.spec)
     family = spec.family
     perturbed = _second_family(spec, "perturb pipeline")
-    target = _target(spec)
+    target = spec.target
     aux = spec.aux_operator if spec.aux_operator is not None else target
     bounds, bounds_source = _bounds_or_optimal(spec, family, target)
     rep = perturbation_check(family, perturbed, target, aux, bounds, args.tol)
@@ -239,7 +233,7 @@ def _cmd_tensor(args, report: RunReport) -> int:
         spec = spec_io.load_spec(path)
         if id(spec) not in verified:
             dual = _second_family(spec, f"tensor pipeline: the dual family of {path}")
-            verified[id(spec)] = spec, verify_dual(spec.family, dual, _target(spec), tol=args.tol)
+            verified[id(spec)] = spec, verify_dual(spec.family, dual, spec.target, tol=args.tol)
         pairs.append(verified[id(spec)][1])
     report.residuals = {"factor_residuals": [_num(p.reconstruction_residual) for p in pairs]}
     if not all(p.verified for p in pairs):

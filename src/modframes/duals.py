@@ -19,7 +19,7 @@ import numpy as np
 
 from . import algebra
 from .errors import NoInclusionError, ShapeMismatchError, SingularFrameOperatorError
-from .frames import OperatorFamily, _target_gram, analysis_operator
+from .frames import OperatorFamily, analysis_operator
 from .operators import KERNEL_RTOL, ModuleOperator, compose, kernel_reach, operator_norm, range_mask
 
 
@@ -116,7 +116,7 @@ def minimal_dual(L: OperatorFamily, K: ModuleOperator) -> OperatorFamily:
     when range(K) lies in range(theta*) = range(S), that is when flat(KK*) does
     not reach S's kernel, the test that makes alpha positive; else this raises
     ``NoInclusionError``."""
-    if kernel_reach(algebra.hermitian_part(_target_gram(K)), L.spectrum) is not None:
+    if kernel_reach(algebra.hermitian_part(K.kk_star), L.spectrum) is not None:
         raise NoInclusionError("range(K) is not contained in range of the synthesis operator")
     return _dual(L, K, range_mask(L.spectrum[0]))
 

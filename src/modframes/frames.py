@@ -184,11 +184,6 @@ def frame_operator(F: OperatorFamily) -> ModuleOperator:
     return compose(t, op_adjoint(t))
 
 
-def _target_gram(K: ModuleOperator) -> np.ndarray:
-    """Flat of KK* (the composite x -> K(K* x)): flat(K)^H flat(K)."""
-    return np.conj(K.flat.T) @ K.flat
-
-
 def _check_certify_inputs(
     F: OperatorFamily, K: ModuleOperator, bounds: FrameBounds
 ) -> tuple[float | None, float | None]:
@@ -263,7 +258,7 @@ def certify(
     """
     a_mod, b_mod = _check_certify_inputs(F, K, bounds)
     s_hat = F.gram
-    m_hat = _target_gram(K)
+    m_hat = K.kk_star
     d, n = F.dim, F.source_rank
     eye_d = np.eye(d, dtype=np.complex128)
 
@@ -308,7 +303,7 @@ def optimal_scalar_bounds(F: OperatorFamily, K: ModuleOperator) -> tuple[float, 
     S_hat); beta^2 is the frame operator's largest eigenvalue
     (``F.bessel_bound``).  Both read the family's cached ``spectrum``.
     """
-    lam = pencil_max(_target_gram(K), F.spectrum)[0]
+    lam = pencil_max(K.kk_star, F.spectrum)[0]
     return (math.inf if lam == 0.0 else math.sqrt(1.0 / lam)), F.bessel_bound
 
 
@@ -372,8 +367,7 @@ def transform_coisometry(
     if U.dim != F.dim or not U.is_endomorphism() or U.source_rank != F.source_rank:
         raise ShapeMismatchError("U must be an endomorphism of the family's source")
     eye = np.eye(U.source_rank * U.dim)
-    # UU* = id: the composite x -> U(U* x) flattens to flat(U)^H flat(U).
-    if float(np.linalg.norm(np.conj(U.flat.T) @ U.flat - eye, 2)) > tol:
+    if float(np.linalg.norm(U.kk_star - eye, 2)) > tol:  # UU* = id
         raise NotCoisometryError("U U* differs from the identity beyond tolerance")
     comm = float(np.linalg.norm(U.flat @ K.flat - K.flat @ U.flat, 2))
     if comm > tol * (1.0 + operator_norm(K) * operator_norm(U)):

@@ -219,7 +219,8 @@ def _family(data, dim: int, rank: int, path: str, like=None) -> list[ModuleOpera
 @dataclass(frozen=True)
 class FrameSpecFile:
     """In-memory form of a frame specification file, a frozen value owning the
-    families of its operator tuples: each is built, Gram and spectrum, once."""
+    families of its operator tuples and its ``target``: each is built, Gram and
+    spectrum or flat(KK*), once, so mutate no array it holds once one is read."""
 
     algebra_dim: int
     module_rank: int
@@ -242,6 +243,11 @@ class FrameSpecFile:
     @functools.cached_property
     def second_family(self) -> OperatorFamily | None:
         return None if self.second_operators is None else OperatorFamily(self.second_operators)
+
+    @functools.cached_property
+    def target(self) -> ModuleOperator:
+        """``target_operator``, or the identity when the file names none."""
+        return self.target_operator or ModuleOperator.identity(self.algebra_dim, self.module_rank)
 
     def to_dict(self) -> dict:
         """The file's fields, each operator's ``blocks`` packed as ``save_spec`` writes it."""

@@ -20,6 +20,7 @@ matrix s.  ``douglas_check`` decides range inclusion by the same rule, on the
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -33,7 +34,8 @@ from .module import ModuleVector
 
 @dataclass(frozen=True)
 class ModuleOperator:
-    """Adjointable A-linear map A^source_rank -> A^target_rank, a frozen value.
+    """Adjointable A-linear map A^source_rank -> A^target_rank, a frozen value
+    owning ``kk_star``, built once: mutate no array it holds once that is read.
 
     ``flat`` is the (source_rank*d) x (target_rank*d) block matrix; the
     action on a flattened vector X (a d x (source_rank*d) block row) is
@@ -52,6 +54,13 @@ class ModuleOperator:
             raise ShapeMismatchError(
                 f"operator flat has shape {self.flat.shape}, expected {expected}"
             )
+
+    @functools.cached_property
+    def kk_star(self) -> np.ndarray:
+        """flat(KK*) = flat(K)^H flat(K), read-only; ``OperatorFamily.gram`` is flat(T*T)."""
+        gram = np.conj(self.flat.T) @ self.flat
+        gram.flags.writeable = False
+        return gram
 
     @classmethod
     def identity(cls, dim: int, rank: int) -> "ModuleOperator":
@@ -168,7 +177,7 @@ def douglas_check(K: ModuleOperator, L: ModuleOperator) -> DouglasReport:
     u, s, vh = np.linalg.svd(L.flat, full_matrices=True)
     w = np.zeros(len(vh))
     w[: len(s)] = s**2
-    x = kernel_reach(np.conj(k.T) @ k, (w[::-1], np.conj(vh[::-1].T)))
+    x = kernel_reach(K.kk_star, (w[::-1], np.conj(vh[::-1].T)))
     r = int(np.sum(range_mask(w[::-1])))  # s descends, so the kept columns lead
     c = k @ np.conj(vh[:r].T) / s[:r]
     lam = float(np.linalg.norm(c, 2)) if r else 0.0

@@ -114,9 +114,9 @@ def perturbation_check(
     G must be indexed like L on L's source module (else ``ShapeMismatchError``);
     then the hypotheses are checked: {L_i} must certify (not falsify) against
     (K, boundsL), and range(Lop) must be contained in range(K) with K of
-    closed range (automatic here; ``douglas_check`` decides it).  M is
-    then computed exactly (a finite M is a hypothesis too), the transferred
-    bounds follow from it, and {G_i} is certified against Lop at those
+    closed range (automatic here; ``douglas_check`` decides it).  M is then
+    computed exactly; it and the transferred upper bound that follows must be
+    finite, and {G_i} is certified against Lop at the transferred
     bounds.  ``tol`` is ``certify``'s, for both certificates, and
     1e3 * ``tol`` bounds ||K K* - I|| for the converse.
     """
@@ -133,15 +133,16 @@ def perturbation_check(
         )
 
     m, witness = _exact_constant(L, G)
-    if math.isinf(m):
-        raise HypothesisFailedError(
-            "perturbation constant is infinite: the difference family reaches "
-            "the kernel of a frame operator",
-            witness=witness,
-        )
     norm_a = algebra.opnorm(boundsL.lower)
     norm_b = algebra.opnorm(boundsL.upper)
     lo, up = perturbed_frame_bounds(norm_a, norm_b, m)
+    if math.isinf(up):  # M is infinite, or (1 + sqrt(M))^2 ||B||^2 passes the float range
+        raise HypothesisFailedError(
+            "perturbation constant is infinite: the difference family reaches the kernel of "
+            "a frame operator" if math.isinf(m) else "derived upper bound (1 + sqrt(M))^2 "
+            f"||B||^2 overflows: M = {m:.6g}, ||B|| = {norm_b:.6g}",
+            witness=witness,
+        )
     # sqrt(lo) is ||A|| / (1 + sqrt(M)), kept positive where lo underflows to 0:
     # its square is then 0, as lo is
     alpha = math.sqrt(lo) or norm_a / (1 + math.sqrt(m)) or math.ulp(0.0)
@@ -172,7 +173,7 @@ def _converse_if_applicable(
     range(K) inside range(Lop); (C, D) are taken as the optimal scalar
     bounds of {G_i} against Lop."""
     eye = np.eye(K.source_rank * K.dim)
-    if float(np.linalg.norm(np.conj(K.flat.T) @ K.flat - eye, 2)) > tol * 1e3:
+    if float(np.linalg.norm(K.kk_star - eye, 2)) > tol * 1e3:
         return None
     rev = douglas_check(K, Lop)
     if not rev.range_included:

@@ -7,6 +7,7 @@ import base64
 import copy
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -735,6 +736,84 @@ def test_directory_paths_are_input_errors(tmp_path, capsys):
         assert code == 3, report.error
         assert report.error.startswith("IsADirectoryError: ")
         assert capsys.readouterr().err == ""
+
+
+# -- one flat(KK*) per operator ----------------------------------------------
+
+def _kk_star_builds(monkeypatch) -> list:
+    """Every operator whose ``kk_star`` is built from here on, in build order;
+    no spec text stays decoded from an earlier test."""
+    prop = ModuleOperator.__dict__["kk_star"]
+    built = []
+    monkeypatch.setattr(prop, "func", lambda op, build=prop.func: built.append(op) or build(op))
+    spec_io._decode.cache_clear()
+    return built
+
+
+@pytest.mark.parametrize("named", [True, False], ids=["target-operator", "identity"])
+def test_verify_bounds_and_minimal_dual_build_one_kk_star(tmp_path, monkeypatch, named):
+    """The three subcommands on one spec file read one K, the file's or the
+    identity, and build its flat(KK*) once between them."""
+    spec = generate_instance("known-bounds", 2, 2, 3, seed=4)
+    path = str(tmp_path / "kb.json")
+    save_spec(spec if named else dataclasses.replace(spec, target_operator=None), path)
+    built = _kk_star_builds(monkeypatch)
+    for argv in (["verify", path], ["bounds", path], ["dual", path, "--method", "minimal"]):
+        assert run_command(argv)[0] in (0, 1)
+    assert len(built) == 1 and built[0] is load_spec(path).target
+
+
+def test_perturb_builds_kk_star_for_k_and_aux(tmp_path, monkeypatch):
+    """K feeds certify, the converse and douglas_check(K, Lop); aux feeds
+    douglas_check(Lop, K), the derived certificate and the converse's bounds.
+    Each builds its flat(KK*) once, though both are I on this spec."""
+    path = str(tmp_path / "pp.json")
+    save_spec(generate_instance("perturbed-pair", 2, 2, 3, seed=4), path)
+    built = _kk_star_builds(monkeypatch)
+    assert run_command(["perturb", path])[0] == 0
+    spec = load_spec(path)
+    assert len(built) == 2 and built[0] is spec.target and built[1] is spec.aux_operator
+
+
+# -- branches a spec reaches by what it lacks --------------------------------
+
+def _pp(**fields) -> FrameSpecFile:
+    return dataclasses.replace(generate_instance("perturbed-pair", 2, 2, 3, seed=2), **fields)
+
+
+@pytest.mark.parametrize("sub, spec, message", [
+    ("perturb", lambda: _pp(second_operators=None),
+     "second_operators: required for the perturb pipeline"),
+    ("tensor", lambda: _pp(second_operators=None),
+     "second_operators: required for the tensor pipeline"),
+    ("douglas", lambda: FrameSpecFile(2, 2, _pp().operators[:1]),
+     "operators: douglas needs two operators"),
+], ids=["perturb", "tensor", "douglas"])
+def test_a_spec_without_what_its_subcommand_reads_exits_3(tmp_path, capfd, sub, spec, message):
+    path = tmp_path / "spec.json"
+    save_spec(spec(), path)
+    code, report = run_command([sub, str(path)])
+    assert code == 3 and report.error.startswith(f"SpecFormatError: {message}")
+    assert capfd.readouterr().err == ""
+
+
+def test_bounds_of_a_zero_target_reports_lower_inf(tmp_path):
+    """K = 0 makes every alpha a lower bound, so the optimum is inf, written "inf"."""
+    path, out = tmp_path / "k0.json", tmp_path / "k0.report"
+    save_spec(_pp(target_operator=ModuleOperator.zero(2, 2, 2)), path)
+    assert run_command(["bounds", str(path), "--out", str(out)])[0] == 0
+    bounds = json.loads(out.read_text(encoding="utf-8"))["bounds"]
+    assert bounds["lower"] == "inf" and 0.0 < bounds["upper"] < math.inf
+
+
+def test_perturb_with_a_rank_deficient_aux_reports_no_converse(tmp_path):
+    """range(K) = range(I) does not lie in range(Lop) for a rank-deficient Lop:
+    the transfer still holds, and the converse constant is null."""
+    path = tmp_path / "aux.json"
+    save_spec(_pp(aux_operator=ModuleOperator(2, 2, 2, np.diag([1.0, 1.0, 1.0, 0.0]))), path)
+    code, report = run_command(["perturb", str(path)])
+    assert code == 0 and report.verdicts["derived_bounds_hold"] is True
+    assert report.residuals["converse_M"] is None
 
 
 # -- douglas -----------------------------------------------------------------

@@ -272,7 +272,7 @@ def test_structural_side_equals_batched_eigh_bitwise(d, n):
     eye_d = np.eye(d, dtype=np.complex128)
     for _ in range(4):
         fam = random_family(d, n, 3, rng)
-        m_hat = frames._target_gram(random_operator(d, n, n, rng))
+        m_hat = random_operator(d, n, n, rng).kk_star
         el = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         for args in ((eye_d, fam.gram, el, m_hat), (el, np.eye(n * d), eye_d, fam.gram)):
             margin, witness, kind = frames._structural_side(*args)

@@ -1,5 +1,7 @@
 """Perturbation constants, transferred bounds, and the full pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from modframes import (
     sample_vectors,
 )
 from modframes.cli import run_command
-from modframes.io import FrameSpecFile, save_spec
+from modframes.io import FrameSpecFile, load_spec, save_spec
 from modframes.perturbation import _exact_constant
 from conftest import (
     cholesky_pencil_max,
@@ -254,6 +256,25 @@ class TestPerturbationCheck:
         x = np.conj(err.value.witness.flat[0])
         assert np.linalg.norm(k.flat @ x) <= 1e-12
         assert np.linalg.norm(lop.flat @ x) == pytest.approx(1.0)
+
+    def test_derived_upper_bound_beyond_the_float_range_exits_4(self, tmp_path, capfd):
+        """``gen`` perturbed-pair seed 1 with its ``operators`` scaled by 1e-150
+        and bounds (1e-152, 1e50): M is about 1e300, so (1 + sqrt(M))^2 ||B||^2
+        overflows.  perturb names that (exit 4, the M witness attached), with
+        no warning and no traceback."""
+        path = tmp_path / "gen.json"
+        run_command(["gen", "--kind", "perturbed-pair", "--dim", "2", "--rank", "2",
+                     "--count", "3", "--seed", "1", "--spec-out", str(path)])
+        spec = load_spec(path)
+        save_spec(replace(spec, operators=[1e-150 * m for m in spec.operators],
+                          bounds=FrameBounds.scalar(1e-152, 1e50, 2)), path)
+        code, report = run_command(["perturb", str(path)])
+        assert code == 4, report.error
+        assert report.error.startswith(
+            "HypothesisFailedError: derived upper bound (1 + sqrt(M))^2 ||B||^2 overflows: M = ")
+        assert report.error.endswith(", ||B|| = 1e+50")
+        assert "hypothesis_vector" in report.witnesses
+        assert capfd.readouterr().err == ""
 
     def test_target_with_tiny_singular_values_contains_its_own_range(self):
         """K = U diag(1, 6.3e-7 x 7) V^H (d = 2, n = 4): range(K) lies in itself.
