@@ -93,8 +93,10 @@ class OperatorFamily:
 
     @functools.cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(w, v)``, the ``eigh`` of ``gram``'s Hermitian part."""
-        return np.linalg.eigh(algebra.hermitian_part(self.gram))
+        """``(w, v)``, the ``eigh`` of ``gram``'s Hermitian part, read-only."""
+        w, v = np.linalg.eigh(algebra.hermitian_part(self.gram))
+        w.flags.writeable = v.flags.writeable = False
+        return w, v
 
     @property
     def bessel_bound(self) -> float:
@@ -188,12 +190,15 @@ def _check_certify_inputs(
     F: OperatorFamily, K: ModuleOperator, bounds: FrameBounds
 ) -> tuple[float | None, float | None]:
     """Check the shapes, and that each bound element is strictly nonzero;
-    return each element's ``_scalar_modulus``.  An exact c*I needs only
-    c != 0 (its condition number is 1); any other element needs its SVD."""
+    return each element's ``_scalar_modulus``, in scalar mode alpha and beta.
+    An exact c*I needs only c != 0 (its condition number is 1); any other
+    element needs its SVD."""
     if K.dim != F.dim or not K.is_endomorphism() or K.source_rank != F.source_rank:
         raise ShapeMismatchError("target operator must be an endomorphism of the family's source")
     if bounds.dim != F.dim:
         raise ShapeMismatchError("bound elements must live in the family's algebra")
+    if bounds.mode == "scalar":  # positive multiples of I, as FrameBounds checked
+        return bounds.alpha, bounds.beta
     moduli = []
     for name, el in (("lower", bounds.lower), ("upper", bounds.upper)):
         mod = _scalar_modulus(el)
@@ -265,12 +270,12 @@ def certify(
     # b^2 I - S_hat is smallest along the top eigenvector of the cached spectrum.
     if a_mod is not None:
         w, v = np.linalg.eigh(algebra.hermitian_part(s_hat - a_mod**2 * m_hat))
-        lower = (float(w[0]), ModuleVector.rank_one(d, v[:, 0]), "exact")
+        lower = (float(w[0]), v[:, 0], "exact")
     else:
         lower = _structural_side(eye_d, s_hat, bounds.lower, m_hat)
     if b_mod is not None:
         w, v = F.spectrum
-        upper = (b_mod**2 - float(w[-1]), ModuleVector.rank_one(d, v[:, -1]), "exact")
+        upper = (b_mod**2 - float(w[-1]), v[:, -1], "exact")
     else:
         upper = _structural_side(bounds.upper, np.eye(n * d), eye_d, s_hat)
 
@@ -279,7 +284,9 @@ def certify(
     witness = None
     if min(gap_lower, gap_upper) < -algebra.threshold(tol):
         verdict = "falsified"
-        witness = lower[1] if gap_lower <= gap_upper else upper[1]
+        witness = (lower if gap_lower <= gap_upper else upper)[1]
+        if isinstance(witness, np.ndarray):  # an exact side's x: the rank-one X, built here
+            witness = ModuleVector.rank_one(d, witness)
     elif "upper_bound" in kinds:
         verdict = "inconclusive"
     else:

@@ -18,11 +18,17 @@ distinct spec text once while it is among the last two read (``CACHED_TEXTS``):
 every load of it returns the same frozen spec over read-only arrays, and no
 error is kept.  A spec owns its families (``family``, ``second_family``), so
 every subcommand reading one spec shares one Gram matrix and one spectrum.
+The kept texts are the decode window: a new text takes each operator a kept
+text holds under the same packed ``blocks`` and shape as that very object, bit
+for bit a fresh decode, and an operator tuple a kept spec holds with its family,
+Gram and spectrum.  A failing text never enters the window, ``cache_clear()``
+empties it, and ``from_dict`` keeps none.  The rest of a list reads one buffer.
 """
 
 from __future__ import annotations
 
 import binascii
+import collections
 import functools
 import itertools
 import json
@@ -90,13 +96,19 @@ def pack_blocks(arr: np.ndarray) -> str:
     return binascii.b2a_base64(raw, newline=False).decode("ascii")
 
 
-def _unpack(text: str, shape: tuple, path: str) -> np.ndarray:
-    """The writable complex array of ``shape`` that ``pack_blocks`` wrote as ``text``."""
+def _strict_bytes(text: str) -> bytes | None:
+    """The bytes whose one base64 spelling is ``text``, or None when there are none."""
     try:
         raw = binascii.a2b_base64(text)
     except (binascii.Error, ValueError):  # bad padding; a character beyond ASCII
-        raw = b""
-    if binascii.b2a_base64(raw, newline=False).decode("ascii") != text:  # raw's one spelling
+        return None
+    return raw if binascii.b2a_base64(raw, newline=False).decode("ascii") == text else None
+
+
+def _unpack(text: str, shape: tuple, path: str) -> np.ndarray:
+    """The writable complex array of ``shape`` that ``pack_blocks`` wrote as ``text``."""
+    raw = _strict_bytes(text)
+    if raw is None:
         raise SpecFormatError(f"{path}: packed blocks must be strict base64")
     if len(raw) != 16 * math.prod(shape):
         raise SpecFormatError(f"{path}: expected {16 * math.prod(shape)} bytes, got {len(raw)}")
@@ -140,6 +152,8 @@ def encode_matrix(mat: np.ndarray) -> list:
 
 
 def _decode_operator(data, dim: int, source_rank: int, path: str) -> ModuleOperator:
+    """One operator object, walked: the reader of the nested form, and the one
+    that names the first fault of a list ``_operators`` cannot take whole."""
     if not isinstance(data, dict):
         raise SpecFormatError(f"{path}: expected an object with target_rank and blocks")
     n, m = source_rank, _as_int(data.get("target_rank"), f"{path}.target_rank")
@@ -147,6 +161,33 @@ def _decode_operator(data, dim: int, source_rank: int, path: str) -> ModuleOpera
     arr = read(data.get("blocks"), (n, m, dim, dim), f"{path}.blocks")
     _known(data, ("target_rank", "blocks"), f"{path}.")
     return ModuleOperator(dim, n, m, arr.transpose(0, 2, 1, 3).reshape(n * dim, m * dim))
+
+
+def _operators(items: list, dim: int, rank: int, paths: list) -> list[ModuleOperator]:
+    """The operators on A^rank that ``items`` hold: the window's (see ``_Decoder``),
+    and the rest read from one buffer, each checked strict base64 and copied out
+    once.  A nested or faulty list is read, or its fault named, by ``_decode_operator``."""
+    keys = [(o.get("blocks"), dim, rank, o.get("target_rank"))
+            if isinstance(o, dict) and len(o) == 2 else None for o in items]  # no unknown key
+    if all(k and isinstance(k[0], str) and type(k[3]) is int and k[3] >= 1 for k in keys):
+        fresh = [k for k in keys if k not in _decode.window]
+        raws = [_strict_bytes(k[0]) for k in fresh]
+        if all(r is not None and len(r) == 16 * rank * k[3] * dim**2 for r, k in zip(raws, fresh)):
+            parts = np.frombuffer(b"".join(raws), dtype="<f8").view("<c16")
+            if not fresh or np.all(np.abs(parts.view("<f8")) <= MAX_ENTRY):  # NaN, inf fail
+                ops, at = [], 0
+                for key in keys:
+                    op, m = _decode.window.get(key), key[3]
+                    if op is None:
+                        blocks = parts[at:at + rank * m * dim * dim].reshape(rank, m, dim, dim)
+                        at += blocks.size
+                        flat = blocks.transpose(0, 2, 1, 3).copy().reshape(rank * dim, m * dim)
+                        op = ModuleOperator(dim, rank, m, flat)
+                    ops.append(op)
+                if _decode.read is not None:
+                    _decode.read.update(zip(keys, ops))
+                return ops
+    return [_decode_operator(o, dim, rank, path) for o, path in zip(items, paths)]
 
 
 def encode_operator(op: ModuleOperator, encode=encode_matrix) -> dict:
@@ -210,7 +251,7 @@ def _family(data, dim: int, rank: int, path: str, like=None) -> list[ModuleOpera
     if not data or like is not None and len(data) != len(like):
         want = "a non-empty list" if like is None else f"{len(like)} members, one per operator"
         raise SpecFormatError(f"{path}: expected {want}, got {len(data)}")
-    ops = [_decode_operator(o, dim, rank, f"{path}[{i}]") for i, o in enumerate(data)]
+    ops = _operators(data, dim, rank, [f"{path}[{i}]" for i in range(len(data))])
     for i, ref in enumerate(like or ()):
         _same_target(ops[i], ref.target_rank, f"{path}[{i}]", f"operators[{i}].target_rank")
     return ops
@@ -246,8 +287,12 @@ class FrameSpecFile:
 
     @functools.cached_property
     def target(self) -> ModuleOperator:
-        """``target_operator``, or the identity when the file names none."""
-        return self.target_operator or ModuleOperator.identity(self.algebra_dim, self.module_rank)
+        """``target_operator``, or the identity, read-only, when the file names none."""
+        if self.target_operator is not None:
+            return self.target_operator
+        eye = ModuleOperator.identity(self.algebra_dim, self.module_rank)
+        eye.flat.flags.writeable = False
+        return eye
 
     def to_dict(self) -> dict:
         """The file's fields, each operator's ``blocks`` packed as ``save_spec`` writes it."""
@@ -281,7 +326,7 @@ class FrameSpecFile:
         operators = _family(data["operators"], dim, rank, "operators")
 
         def endomorphism(value, path):  # K and aux map A^n to A^n
-            op = _decode_operator(value, dim, rank, path)
+            op = _operators([value], dim, rank, [path])[0]
             return _same_target(op, rank, path, "module_rank")
 
         optional = {  # null reads as absent
@@ -306,14 +351,56 @@ def save_spec(spec: FrameSpecFile, path) -> None:
         fh.write(spec.to_json())
 
 
-@functools.lru_cache(maxsize=CACHED_TEXTS)
-def _decode(raw: bytes) -> FrameSpecFile:
-    spec = FrameSpecFile.from_dict(json.loads(raw.decode("utf-8")))
-    ops = [*spec.operators, *(spec.second_operators or ()), spec.target_operator, spec.aux_operator]
-    bounds = [spec.bounds.lower, spec.bounds.upper] if spec.bounds else []
-    for arr in [op.flat for op in ops if op] + bounds:
-        arr.flags.writeable = False
-    return spec
+_CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _Decoder:
+    """``load_spec``'s cache of the last ``CACHED_TEXTS`` texts' specs, as an
+    ``lru_cache`` would keep them, and their decode window: while a text is read,
+    ``window`` maps the kept texts' operators by ``_operators``' key and ``read``
+    gathers the new text's; outside a read they are empty and None."""
+
+    window, read = {}, None  # outside a read
+
+    def __init__(self):
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        self.kept, self.hits, self.misses = {}, 0, 0  # text -> (spec, its read), last read last
+
+    def cache_info(self):
+        return _CacheInfo(self.hits, self.misses, CACHED_TEXTS, len(self.kept))
+
+    def __call__(self, raw: bytes) -> FrameSpecFile:
+        if raw in self.kept:
+            self.hits += 1
+            self.kept[raw] = self.kept.pop(raw)
+            return self.kept[raw][0]
+        self.misses += 1
+        self.window = {key: op for _, read in self.kept.values() for key, op in read.items()}
+        self.read = read = {}
+        try:
+            spec = FrameSpecFile.from_dict(json.loads(raw.decode("utf-8")))
+        finally:
+            self.window, self.read = {}, None
+        kept_tuples = {tuple(map(id, ops)): (kept, name) for kept, _ in self.kept.values()
+                       for name, ops in (("family", kept.operators),
+                                         ("second_family", kept.second_operators)) if ops}
+        for name, members in (("family", spec.operators), ("second_family", spec.second_operators)):
+            if tuple(map(id, members or ())) in kept_tuples:  # stored as cached_property stores it
+                vars(spec)[name] = getattr(*kept_tuples[tuple(map(id, members))])
+        ops = [*spec.operators, *(spec.second_operators or ()), spec.target_operator,
+               spec.aux_operator]
+        bounds = [spec.bounds.lower, spec.bounds.upper] if spec.bounds else []
+        for arr in [op.flat for op in ops if op] + bounds:
+            arr.flags.writeable = False
+        self.kept[raw] = spec, read
+        if len(self.kept) > CACHED_TEXTS:
+            del self.kept[next(iter(self.kept))]
+        return spec
+
+
+_decode = _Decoder()
 
 
 def load_spec(path) -> FrameSpecFile:

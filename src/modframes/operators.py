@@ -180,11 +180,11 @@ def douglas_check(K: ModuleOperator, L: ModuleOperator) -> DouglasReport:
     x = kernel_reach(K.kk_star, (w[::-1], np.conj(vh[::-1].T)))
     r = int(np.sum(range_mask(w[::-1])))  # s descends, so the kept columns lead
     c = k @ np.conj(vh[:r].T) / s[:r]
-    lam = float(np.linalg.norm(c, 2)) if r else 0.0
     d_flat = c @ np.conj(u[:, :r].T)
     residual = float(np.linalg.norm(k - d_flat @ L.flat, 2))
     if x is not None:
         return DouglasReport(False, None, None, residual, ModuleVector.rank_one(K.dim, x))
+    lam = float(np.linalg.norm(c, 2)) if r else 0.0
     factor = ModuleOperator(K.dim, K.source_rank, L.source_rank, d_flat)
     return DouglasReport(range_included=True, lambda_min=lam, factor=factor, residual=residual)
 

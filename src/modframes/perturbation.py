@@ -133,8 +133,8 @@ def perturbation_check(
         )
 
     m, witness = _exact_constant(L, G)
-    norm_a = algebra.opnorm(boundsL.lower)
-    norm_b = algebra.opnorm(boundsL.upper)
+    norm_a, norm_b = ((boundsL.alpha, boundsL.beta) if boundsL.mode == "scalar"
+                      else (algebra.opnorm(boundsL.lower), algebra.opnorm(boundsL.upper)))
     lo, up = perturbed_frame_bounds(norm_a, norm_b, m)
     if math.isinf(up):  # M is infinite, or (1 + sqrt(M))^2 ||B||^2 passes the float range
         raise HypothesisFailedError(

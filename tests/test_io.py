@@ -1142,6 +1142,129 @@ class TestDecodeCache:
             assert w.render("json") == c.render("json")
 
 
+def _twin(spec: FrameSpecFile, tmp_path, name: str) -> str:
+    """``spec``'s operators with a tighter upper bound, written to ``name``: a
+    text that differs from ``spec``'s only in ``bounds``."""
+    beta = 0.9 * spec.bounds.beta
+    path = str(tmp_path / name)
+    save_spec(replace(spec, bounds=FrameBounds.scalar(spec.bounds.alpha, beta, spec.algebra_dim)),
+              path)
+    return path
+
+
+def _operator_fields(spec: FrameSpecFile) -> list:
+    return [*spec.operators, *(spec.second_operators or ()), spec.target_operator,
+            spec.aux_operator]
+
+
+class TestDecodeWindow:
+    """A text read while a kept text holds bitwise-equal packed operator blocks
+    takes those operators, and the family of an operator tuple it shares."""
+
+    @pytest.mark.parametrize("kind", ["known-bounds", "perturbed-pair", "dual-pair"])
+    def test_a_twin_text_takes_the_kept_operators_and_families(self, tmp_path, kind):
+        spec = generate_instance(kind, 2, 2, 3, seed=6)
+        path = str(tmp_path / "spec.json")
+        save_spec(spec, path)
+        twin_path = _twin(spec, tmp_path, "twin.json")
+        first, twin = load_spec(path), load_spec(twin_path)
+        assert twin is not first and twin.bounds.beta < first.bounds.beta
+        kept = {id(op) for op in _operator_fields(first)}
+        for a, b in zip(_operator_fields(first), _operator_fields(twin), strict=True):
+            assert a is None and b is None or id(b) in kept and b.flat.tobytes() == a.flat.tobytes()
+        assert all(b is a for a, b in zip(first.operators, twin.operators, strict=True))
+        assert twin.family is first.family
+        assert twin.second_family is first.second_family
+        assert id(twin.target) in kept
+        spec_io._decode.cache_clear()
+        cold = _arrays(load_spec(twin_path))
+        assert {k: a.tobytes() for k, a in _arrays(twin).items()} == {
+            k: a.tobytes() for k, a in cold.items()}
+
+    def test_k_and_aux_decode_separately_within_one_text(self, tmp_path):
+        spec = generate_instance("perturbed-pair", 2, 2, 3, seed=6)  # K = aux = I
+        path = str(tmp_path / "pp.json")
+        save_spec(spec, path)
+        first = load_spec(path)
+        assert first.target_operator is not first.aux_operator
+        assert first.target_operator.flat.tobytes() == first.aux_operator.flat.tobytes()
+        # Across texts the key is the packed text, so a twin's K and aux both
+        # take the one kept operator those equal blocks index.
+        twin = load_spec(_twin(spec, tmp_path, "twin.json"))
+        assert twin.target_operator is twin.aux_operator
+        assert any(twin.aux_operator is op for op in (first.target_operator, first.aux_operator))
+
+    def test_the_window_is_exactly_the_kept_texts(self, tmp_path):
+        """A text evicted from the decode cache, or cleared from it, lends nothing."""
+        spec = generate_instance("known-bounds", 2, 2, 3, seed=6)
+        path = str(tmp_path / "kb.json")
+        save_spec(spec, path)
+        twin_path = _twin(spec, tmp_path, "twin.json")
+        others = []
+        for seed in (7, 8):
+            others.append(str(tmp_path / f"other{seed}.json"))
+            save_spec(generate_instance("known-bounds", 2, 2, 3, seed=seed), others[-1])
+        first = load_spec(path)
+        for other in others:  # the first text leaves the cache
+            load_spec(other)
+        twin = load_spec(twin_path)
+        assert all(a is not b for a, b in zip(first.operators, twin.operators))
+        assert twin.family is not first.family
+        first = load_spec(path)  # the twin is kept, so the text takes the twin's
+        assert first.operators[0] is twin.operators[0] and first.family is twin.family
+        spec_io._decode.cache_clear()
+        again = load_spec(twin_path)
+        assert again is not twin and again.operators[0] is not twin.operators[0]
+
+    def test_from_dict_keeps_no_window(self, tmp_path):
+        spec = generate_instance("known-bounds", 2, 2, 3, seed=6)
+        path = str(tmp_path / "kb.json")
+        save_spec(spec, path)
+        kept = load_spec(path)
+        fresh = FrameSpecFile.from_dict(json.loads(spec.to_json()))
+        assert all(a is not b for a, b in zip(kept.operators, fresh.operators))
+        assert fresh.operators[0].flat.flags.writeable
+        assert spec_io._decode.window == {} and spec_io._decode.read is None
+
+    def test_a_nested_text_decodes_alone_and_bitwise(self, tmp_path):
+        spec = generate_instance("dual-pair", 2, 2, 3, seed=6)
+        packed, nested = str(tmp_path / "packed.json"), tmp_path / "nested.json"
+        save_spec(spec, packed)
+        nested.write_text(json.dumps(nested_dict(spec)))
+        first, second = load_spec(packed), load_spec(nested)
+        assert all(a is not b for a, b in zip(first.operators, second.operators))
+        assert first.to_json() == second.to_json()
+
+    def test_a_twin_verify_builds_no_second_gram(self, tmp_path, monkeypatch):
+        spec = generate_instance("known-bounds", 2, 2, 3, seed=6)
+        path = str(tmp_path / "kb.json")
+        save_spec(spec, path)
+        twin_path = _twin(spec, tmp_path, "twin.json")
+        counts = _count_calls(monkeypatch, ["verify", path])
+        assert (counts["gram"], counts["eigh"]) == (1, 2)  # S; its spectrum and the lower side
+        counts = _count_calls(monkeypatch, ["verify", twin_path], code=1)
+        assert (counts["gram"], counts["eigh"]) == (0, 1)  # the lower side's eigh alone
+
+    def test_spectrum_and_default_target_are_read_only(self, tmp_path):
+        """No caller can change what a later load returns, through the cached
+        spectrum or through the identity a spec without a target builds."""
+        spec = replace(generate_instance("known-bounds", 2, 2, 3, seed=6), target_operator=None)
+        path = str(tmp_path / "kb.json")
+        save_spec(spec, path)
+        loaded = load_spec(path)
+        w, v = loaded.family.spectrum
+        before = (w.tobytes(), v.tobytes(), loaded.target.flat.tobytes())
+        for arr, index in ((w, 0), (v, (0, 0)), (loaded.target.flat, (0, 0))):
+            with pytest.raises(ValueError):
+                arr[index] = 5.0
+        again = load_spec(path)
+        assert again is loaded
+        after = (again.family.spectrum[0].tobytes(), again.family.spectrum[1].tobytes(),
+                 again.target.flat.tobytes())
+        assert after == before
+        assert np.array_equal(again.target.flat, np.eye(4))
+
+
 class TestFrozenSpec:
     """A spec, its operators and its bounds are frozen values, so the decode
     cache hands out the spec itself, and the spec owns its families."""
